@@ -122,17 +122,17 @@ void BM_ExhaustiveOracleSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveOracleSweep);
 
-void BM_BeamSearch(benchmark::State& state, int width) {
-  // Model-guided decode over the extended, constraint-carrying space
-  // (haswell: 2164 joint classes, 3 validity rules) in EDP mode — the
-  // largest search the serving path ever runs. width < 0 scans the full
-  // joint class grid (the exhaustive test oracle), width == 0 runs the
-  // staged beam unpruned (exact), small widths show the sub-linear cost
-  // the production fallback actually pays.
+template <typename T>
+void constrained_decode(benchmark::State& state, bool edp, bool exhaustive) {
+  // Constraint-aware decode over the extended, constraint-carrying space
+  // (haswell: 2164 joint classes, 3 validity rules) — the largest search
+  // the serving path runs. `exhaustive` scans the whole joint class grid
+  // through is_valid (the test oracle); otherwise search_* runs the exact
+  // constrained argmax the serving decode uses.
   static const core::SearchSpace space =
       core::SearchSpace::extended_for_machine(hw::MachineModel::haswell());
-  static const std::vector<double> logits = [] {
-    std::vector<double> v;
+  static const std::vector<T> logits = [] {
+    std::vector<T> v;
     std::uint64_t x = 0x2545f4914f6cdd1dull;  // deterministic pseudo-logits
     const int n = space.num_cap_classes() + space.num_thread_classes() +
                   space.num_schedule_classes() + space.num_chunk_classes();
@@ -140,37 +140,55 @@ void BM_BeamSearch(benchmark::State& state, int width) {
       x ^= x >> 12;
       x ^= x << 25;
       x ^= x >> 27;
-      v.push_back(static_cast<double>((x * 0x2545f4914f6cdd1dull) >> 11) *
-                      0x1p-52 -
-                  1.0);
+      v.push_back(static_cast<T>(
+          static_cast<double>((x * 0x2545f4914f6cdd1dull) >> 11) * 0x1p-52 -
+          1.0));
     }
     // Plant the per-head argmax on (lowest cap, highest thread count) —
-    // a tuple the thread-per-watt rule prunes — so search_edp cannot take
-    // its O(1) fast path and the rows below time the staged beam itself.
-    v[0] = 8.0;
+    // a tuple the thread-per-watt rule prunes — so search_* cannot take
+    // its fast path and the exact rows time the constrained scan itself.
+    v[0] = 8;
     v[static_cast<std::size_t>(space.num_cap_classes() +
                                space.num_thread_classes()) -
-      1] = 8.0;
+      1] = 8;
     return v;
   }();
-  const std::span<const double> all(logits);
+  const std::span<const T> all(logits);
   const std::size_t np = static_cast<std::size_t>(space.num_cap_classes());
   const std::size_t nt = static_cast<std::size_t>(space.num_thread_classes());
   const std::size_t ns = static_cast<std::size_t>(space.num_schedule_classes());
   const std::size_t nc = static_cast<std::size_t>(space.num_chunk_classes());
   const auto cap = all.subspan(0, np), thr = all.subspan(np, nt),
              sch = all.subspan(np + nt, ns), chk = all.subspan(np + nt + ns, nc);
+  const double cap_w = space.power_caps().front();
   for (auto _ : state) {
-    const core::SearchChoice c =
-        width < 0 ? core::exhaustive_edp<double>(space, cap, thr, sch, chk)
-                  : core::search_edp<double>(space, cap, thr, sch, chk, width);
+    core::SearchChoice c;
+    if (edp)
+      c = exhaustive ? core::exhaustive_edp<T>(space, cap, thr, sch, chk)
+                     : core::search_edp<T>(space, cap, thr, sch, chk);
+    else
+      c = exhaustive ? core::exhaustive_power<T>(space, cap_w, thr, sch, chk)
+                     : core::search_power<T>(space, cap_w, thr, sch, chk);
     benchmark::DoNotOptimize(c.score);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_BeamSearch, exhaustive, -1);
-BENCHMARK_CAPTURE(BM_BeamSearch, full_width, 0);
-BENCHMARK_CAPTURE(BM_BeamSearch, width4, 4);
+
+void BM_ConstrainedDecode(benchmark::State& state, bool f32, bool edp,
+                          bool exhaustive) {
+  if (f32)
+    constrained_decode<float>(state, edp, exhaustive);
+  else
+    constrained_decode<double>(state, edp, exhaustive);
+}
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, power_exhaustive/f64, false, false, true);
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, power_exact/f64, false, false, false);
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, power_exhaustive/f32, true, false, true);
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, power_exact/f32, true, false, false);
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, edp_exhaustive/f64, false, true, true);
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, edp_exact/f64, false, true, false);
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, edp_exhaustive/f32, true, true, true);
+BENCHMARK_CAPTURE(BM_ConstrainedDecode, edp_exact/f32, true, true, false);
 
 nn::RgcnNetConfig table2_config(int vocab_size) {
   nn::RgcnNetConfig cfg;

@@ -1,6 +1,7 @@
 #include "core/config_search.hpp"
 
-#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,141 +12,144 @@ namespace pnp::core {
 
 namespace {
 
-/// A partially expanded class tuple. Unexpanded dimensions are -1.
-struct Partial {
-  double score = 0.0;
-  int cap = -1;
-  int thr = -1;
-  int sch = -1;
-  int chk = -1;
+/// The four head spans; `cap` is empty in power mode.
+template <typename T>
+struct Heads {
+  std::span<const T> cap, thr, sch, chk;
+
+  /// The score of one tuple, summed exactly as the exhaustive scans do.
+  double sum(double base, std::size_t t, std::size_t s, std::size_t k) const {
+    double v = base + static_cast<double>(thr[t]);
+    v += static_cast<double>(sch[s]);
+    return v + static_cast<double>(chk[k]);
+  }
 };
 
-/// The deterministic ordering: score descending, then lexicographic
-/// ascending class tuple — identical to `nn::argmax_index`'s first-max-wins
-/// protocol, so an unconstrained full-width beam reproduces the historic
-/// independent-argmax decode exactly.
-bool better(const Partial& a, const Partial& b) {
-  if (a.score != b.score) return a.score > b.score;
-  if (a.cap != b.cap) return a.cap < b.cap;
-  if (a.thr != b.thr) return a.thr < b.thr;
-  if (a.sch != b.sch) return a.sch < b.sch;
-  return a.chk < b.chk;
-}
-
-void trim(std::vector<Partial>& beam, int width) {
-  std::sort(beam.begin(), beam.end(), better);
-  if (width > 0 && beam.size() > static_cast<std::size_t>(width))
-    beam.resize(static_cast<std::size_t>(width));
-}
-
-/// Class tuple of the machine default configuration — the guaranteed
-/// fallback (always constraint-valid, always representable as a label).
+/// True when the per-head argmax tuple (ci, ti, si, ki), whose sum is
+/// `top`, is also the first maximum of the joint sum: no lexicographically
+/// earlier tuple rounds to `top`. Such a tuple differs first on some axis
+/// at a smaller class, and its sum is at most the argmax tuple's with
+/// that one class swapped in (FP addition is monotone), so checking each
+/// earlier class on each axis suffices. `ci` is 0 in power mode.
 template <typename T>
-SearchChoice default_choice(const SearchSpace& space, int cap_cls,
-                            double cap_base_score,
-                            std::span<const T> thread_logits,
-                            std::span<const T> sched_logits,
-                            std::span<const T> chunk_logits) {
-  const sim::OmpConfig def = space.default_config();
-  SearchChoice c;
-  c.cap_cls = cap_cls;
-  c.thread_cls = space.thread_class(def.threads);
-  for (std::size_t i = 0; i < space.schedule_values().size(); ++i)
-    if (space.schedule_values()[i] == def.schedule)
-      c.sched_cls = static_cast<int>(i);
-  c.chunk_cls = 0;
-  c.score = cap_base_score +
-            static_cast<double>(thread_logits[static_cast<std::size_t>(c.thread_cls)]);
-  c.score += static_cast<double>(sched_logits[static_cast<std::size_t>(c.sched_cls)]);
-  c.score += static_cast<double>(chunk_logits[static_cast<std::size_t>(c.chunk_cls)]);
-  c.used_fallback = true;
-  return c;
+bool argmax_is_first_max(const Heads<T>& h, std::size_t ci, std::size_t ti,
+                         std::size_t si, std::size_t ki, double top) {
+  for (std::size_t c = 0; c < ci; ++c)
+    if (h.sum(static_cast<double>(h.cap[c]), ti, si, ki) >= top) return false;
+  const double b = h.cap.empty() ? 0.0 : static_cast<double>(h.cap[ci]);
+  for (std::size_t t = 0; t < ti; ++t)
+    if (h.sum(b, t, si, ki) >= top) return false;
+  for (std::size_t s = 0; s < si; ++s)
+    if (h.sum(b, ti, s, ki) >= top) return false;
+  for (std::size_t k = 0; k < ki; ++k)
+    if (h.sum(b, ti, si, k) >= top) return false;
+  return true;
 }
 
-/// Shared beam core. For power mode `cap_logits` is empty and the single
-/// seed partial carries `fixed_cap_w` (cap_cls stays -1 in the result).
+/// Exact constrained argmax. Caps (one pseudo-cap with base 0 in power
+/// mode) and (thread, schedule) pairs are scanned in lexicographic order
+/// with strictly-greater updates, like the exhaustive oracle; within a
+/// pair the chunk classes are visited in descending-logit order, so the
+/// first admitted one gives the pair's best sum, and the FP-tie run after
+/// it yields the smallest chunk class reaching that sum.
 template <typename T>
-SearchChoice beam_run(const SearchSpace& space, bool edp, double fixed_cap_w,
-                      std::span<const T> cap_logits,
-                      std::span<const T> thread_logits,
-                      std::span<const T> sched_logits,
-                      std::span<const T> chunk_logits, int beam_width) {
-  std::vector<Partial> beam;
-  if (edp) {
-    for (std::size_t i = 0; i < cap_logits.size(); ++i)
-      beam.push_back({static_cast<double>(cap_logits[i]),
-                      static_cast<int>(i), -1, -1, -1});
-    trim(beam, beam_width);
-  } else {
-    beam.push_back({0.0, -1, -1, -1, -1});
+SearchChoice exact_search(const SearchSpace& space, const Heads<T>& h,
+                          double cap_w) {
+  // Chunk classes by descending logit, ties by ascending class (stable
+  // insertion sort: chunk heads are short).
+  struct Ranked {
+    double logit;
+    int cls;
+  };
+  const std::size_t nc = h.chk.size();
+  constexpr std::size_t kInline = 32;  // every built-in space fits
+  std::array<Ranked, kInline> inline_ranked{};
+  std::vector<Ranked> heap_ranked;
+  Ranked* ranked = inline_ranked.data();
+  if (nc > kInline) {
+    heap_ranked.resize(nc);
+    ranked = heap_ranked.data();
+  }
+  for (std::size_t i = 0; i < nc; ++i) {
+    const Ranked r{static_cast<double>(h.chk[i]), static_cast<int>(i)};
+    std::size_t j = i;
+    for (; j > 0 && ranked[j - 1].logit < r.logit; --j)
+      ranked[j] = ranked[j - 1];
+    ranked[j] = r;
   }
 
   const std::vector<int>& threads = space.thread_values();
-  const int def_threads = space.default_config().threads;
-  std::vector<Partial> next;
-  // Thread stage: thread-only rules are checkable here, so prune early.
-  // The class holding the default thread count survives regardless (the
-  // default config is exempt); its invalid siblings die at the chunk stage.
-  for (const Partial& p : beam) {
-    const double cap_w =
-        edp ? space.power_caps()[static_cast<std::size_t>(p.cap)] : fixed_cap_w;
-    const int tmax = space.max_valid_threads(cap_w);
-    for (std::size_t i = 0; i < thread_logits.size(); ++i) {
-      const int t = threads[i];
-      if (t > tmax && t != def_threads) continue;
-      next.push_back({p.score + static_cast<double>(thread_logits[i]), p.cap,
-                      static_cast<int>(i), -1, -1});
-    }
-  }
-  beam.swap(next);
-  trim(beam, beam_width);
-
-  next.clear();
-  for (const Partial& p : beam)
-    for (std::size_t i = 0; i < sched_logits.size(); ++i)
-      next.push_back({p.score + static_cast<double>(sched_logits[i]), p.cap,
-                      p.thr, static_cast<int>(i), -1});
-  beam.swap(next);
-  trim(beam, beam_width);
-
-  // Chunk stage completes the tuple: this is where the constraint layer
-  // filters (schedule- and product-rules need the full config).
-  next.clear();
-  for (const Partial& p : beam) {
-    const double cap_w =
-        edp ? space.power_caps()[static_cast<std::size_t>(p.cap)] : fixed_cap_w;
-    for (std::size_t i = 0; i < chunk_logits.size(); ++i) {
-      const sim::OmpConfig cfg = space.config_from_classes(
-          p.thr, p.sch, static_cast<int>(i));
-      if (!space.is_valid(cfg, cap_w)) continue;
-      next.push_back({p.score + static_cast<double>(chunk_logits[i]), p.cap,
-                      p.thr, p.sch, static_cast<int>(i)});
-    }
-  }
-
-  if (next.empty()) {
-    // Pruning emptied the beam: serve the machine default (always valid).
-    if (edp) {
-      SearchChoice best{};
-      bool first = true;
-      for (std::size_t i = 0; i < cap_logits.size(); ++i) {
-        SearchChoice c = default_choice(space, static_cast<int>(i),
-                                        static_cast<double>(cap_logits[i]),
-                                        thread_logits, sched_logits,
-                                        chunk_logits);
-        if (first || c.score > best.score) best = c;
-        first = false;
+  const bool edp = !h.cap.empty();
+  const std::size_t ncaps = edp ? h.cap.size() : 1;
+  SearchChoice best{};
+  bool found = false;
+  for (std::size_t c = 0; c < ncaps; ++c) {
+    const double base = edp ? static_cast<double>(h.cap[c]) : 0.0;
+    const int tmax =
+        space.max_valid_threads(edp ? space.power_caps()[c] : cap_w);
+    for (std::size_t t = 0; t < h.thr.size(); ++t) {
+      const double st = base + static_cast<double>(h.thr[t]);
+      const std::uint8_t need = threads[t] <= tmax
+                                    ? SearchSpace::kChunkAdmitted
+                                    : SearchSpace::kChunkExempt;
+      for (std::size_t s = 0; s < h.sch.size(); ++s) {
+        const double ss = st + static_cast<double>(h.sch[s]);
+        // No chunk of this pair can beat the incumbent strictly.
+        if (found && ss + ranked[0].logit <= best.score) continue;
+        const std::uint8_t* row = space.chunk_validity(
+            static_cast<int>(t), static_cast<int>(s));
+        std::size_t j = 0;
+        while (j < nc && !(row[ranked[j].cls] & need)) ++j;
+        if (j == nc) continue;
+        int k_best = ranked[j].cls;
+        const double top = ss + ranked[j].logit;
+        // Later classes whose sum still rounds to `top`: the first wins.
+        for (++j; j < nc && ss + ranked[j].logit == top; ++j)
+          if ((row[ranked[j].cls] & need) && ranked[j].cls < k_best)
+            k_best = ranked[j].cls;
+        if (!found || top > best.score) {
+          best = {edp ? static_cast<int>(c) : -1, static_cast<int>(t),
+                  static_cast<int>(s), k_best, top, false};
+          found = true;
+        }
       }
-      return best;
     }
-    return default_choice(space, -1, 0.0, thread_logits, sched_logits,
-                          chunk_logits);
   }
+  PNP_CHECK_MSG(found, "the default configuration must stay valid");
+  return best;
+}
 
-  const Partial& best = *std::min_element(
-      next.begin(), next.end(),
-      [](const Partial& a, const Partial& b) { return better(a, b); });
-  return {best.cap, best.thr, best.sch, best.chk, best.score, false};
+/// Fast path, then the exact scan when the argmax tuple is pruned or
+/// could tie with an earlier tuple.
+template <typename T>
+SearchChoice search(const SearchSpace& space, const Heads<T>& h,
+                    double cap_w) {
+  PNP_CHECK(static_cast<int>(h.thr.size()) == space.num_thread_classes());
+  PNP_CHECK(static_cast<int>(h.sch.size()) == space.num_schedule_classes());
+  PNP_CHECK(static_cast<int>(h.chk.size()) == space.num_chunk_classes());
+  const bool edp = !h.cap.empty();
+  const int ci = edp ? nn::argmax_index(h.cap) : -1;
+  const auto ti = static_cast<std::size_t>(nn::argmax_index(h.thr));
+  const auto si = static_cast<std::size_t>(nn::argmax_index(h.sch));
+  const auto ki = static_cast<std::size_t>(nn::argmax_index(h.chk));
+  const std::size_t cu = edp ? static_cast<std::size_t>(ci) : 0;
+  const double w = edp ? space.power_caps()[cu] : cap_w;
+  const std::uint8_t entry = space.chunk_validity(static_cast<int>(ti),
+                                                  static_cast<int>(si))[ki];
+  const bool admitted =
+      (entry & SearchSpace::kChunkExempt) ||
+      ((entry & SearchSpace::kChunkAdmitted) &&
+       space.thread_values()[ti] <= space.max_valid_threads(w));
+  if (admitted) {
+    const double top =
+        h.sum(edp ? static_cast<double>(h.cap[cu]) : 0.0, ti, si, ki);
+    if (argmax_is_first_max(h, cu, ti, si, ki, top))
+      return {ci, static_cast<int>(ti), static_cast<int>(si),
+              static_cast<int>(ki), top, false};
+  }
+  SearchChoice c = exact_search(space, h, cap_w);
+  c.argmax_pruned = !admitted;
+  return c;
 }
 
 }  // namespace
@@ -154,48 +158,20 @@ template <typename T>
 SearchChoice search_power(const SearchSpace& space, double cap_w,
                           std::span<const T> thread_logits,
                           std::span<const T> sched_logits,
-                          std::span<const T> chunk_logits, int beam_width) {
-  PNP_CHECK(static_cast<int>(thread_logits.size()) == space.num_thread_classes());
-  PNP_CHECK(static_cast<int>(sched_logits.size()) == space.num_schedule_classes());
-  PNP_CHECK(static_cast<int>(chunk_logits.size()) == space.num_chunk_classes());
-  // Fast path: the per-head argmax tuple attains the maximum joint sum, so
-  // if the constraint layer admits it, it is the joint argmax — no search.
-  const int ti = nn::argmax_index(thread_logits);
-  const int si = nn::argmax_index(sched_logits);
-  const int ki = nn::argmax_index(chunk_logits);
-  if (space.is_valid(space.config_from_classes(ti, si, ki), cap_w)) {
-    double score = static_cast<double>(thread_logits[static_cast<std::size_t>(ti)]);
-    score += static_cast<double>(sched_logits[static_cast<std::size_t>(si)]);
-    score += static_cast<double>(chunk_logits[static_cast<std::size_t>(ki)]);
-    return {-1, ti, si, ki, score, false};
-  }
-  return beam_run<T>(space, /*edp=*/false, cap_w, {}, thread_logits,
-                     sched_logits, chunk_logits, beam_width);
+                          std::span<const T> chunk_logits) {
+  return search<T>(space, {{}, thread_logits, sched_logits, chunk_logits},
+                   cap_w);
 }
 
 template <typename T>
 SearchChoice search_edp(const SearchSpace& space, std::span<const T> cap_logits,
                         std::span<const T> thread_logits,
                         std::span<const T> sched_logits,
-                        std::span<const T> chunk_logits, int beam_width) {
+                        std::span<const T> chunk_logits) {
   PNP_CHECK(static_cast<int>(cap_logits.size()) == space.num_cap_classes());
-  PNP_CHECK(static_cast<int>(thread_logits.size()) == space.num_thread_classes());
-  PNP_CHECK(static_cast<int>(sched_logits.size()) == space.num_schedule_classes());
-  PNP_CHECK(static_cast<int>(chunk_logits.size()) == space.num_chunk_classes());
-  const int ci = nn::argmax_index(cap_logits);
-  const int ti = nn::argmax_index(thread_logits);
-  const int si = nn::argmax_index(sched_logits);
-  const int ki = nn::argmax_index(chunk_logits);
-  const double cap_w = space.power_caps()[static_cast<std::size_t>(ci)];
-  if (space.is_valid(space.config_from_classes(ti, si, ki), cap_w)) {
-    double score = static_cast<double>(cap_logits[static_cast<std::size_t>(ci)]);
-    score += static_cast<double>(thread_logits[static_cast<std::size_t>(ti)]);
-    score += static_cast<double>(sched_logits[static_cast<std::size_t>(si)]);
-    score += static_cast<double>(chunk_logits[static_cast<std::size_t>(ki)]);
-    return {ci, ti, si, ki, score, false};
-  }
-  return beam_run<T>(space, /*edp=*/true, 0.0, cap_logits, thread_logits,
-                     sched_logits, chunk_logits, beam_width);
+  return search<T>(space,
+                   {cap_logits, thread_logits, sched_logits, chunk_logits},
+                   0.0);
 }
 
 template <typename T>
@@ -225,9 +201,7 @@ SearchChoice exhaustive_power(const SearchSpace& space, double cap_w,
       }
     }
   }
-  if (!found)
-    return default_choice(space, -1, 0.0, thread_logits, sched_logits,
-                          chunk_logits);
+  PNP_CHECK_MSG(found, "the default configuration must stay valid");
   return best;
 }
 
@@ -261,19 +235,7 @@ SearchChoice exhaustive_edp(const SearchSpace& space,
       }
     }
   }
-  if (!found) {
-    SearchChoice fb{};
-    bool first = true;
-    for (std::size_t c = 0; c < cap_logits.size(); ++c) {
-      SearchChoice cand = default_choice(space, static_cast<int>(c),
-                                         static_cast<double>(cap_logits[c]),
-                                         thread_logits, sched_logits,
-                                         chunk_logits);
-      if (first || cand.score > fb.score) fb = cand;
-      first = false;
-    }
-    return fb;
-  }
+  PNP_CHECK_MSG(found, "the default configuration must stay valid");
   return best;
 }
 
@@ -300,25 +262,59 @@ int dense_argmax_valid(const SearchSpace& space, std::span<const T> logits,
   return best;
 }
 
+template <typename T>
+Decoded decode_logits(const SearchSpace& space, bool factored, bool edp,
+                      std::span<const T> logits, double cap_w) {
+  Decoded d;
+  if (factored) {
+    const auto np = static_cast<std::size_t>(edp ? space.num_cap_classes() : 0);
+    const auto nt = static_cast<std::size_t>(space.num_thread_classes());
+    const auto ns = static_cast<std::size_t>(space.num_schedule_classes());
+    const auto nc = static_cast<std::size_t>(space.num_chunk_classes());
+    const Heads<T> h{logits.subspan(0, np), logits.subspan(np, nt),
+                     logits.subspan(np + nt, ns),
+                     logits.subspan(np + nt + ns, nc)};
+    const SearchChoice c = search<T>(space, h, cap_w);
+    d.cap_index = c.cap_cls;
+    d.cfg = space.config_from_classes(c.thread_cls, c.sched_cls, c.chunk_cls);
+    d.argmax_pruned = c.argmax_pruned;
+    return d;
+  }
+  int flat = nn::argmax_index(logits);
+  TunerClasses tc = tuner_classes_from_flat(space, flat, edp);
+  d.cfg = space.config_from_classes(tc.thread, tc.sched, tc.chunk);
+  const double w =
+      edp ? space.power_caps()[static_cast<std::size_t>(tc.cap)] : cap_w;
+  if (!space.is_valid(d.cfg, w)) {
+    d.argmax_pruned = true;
+    flat = dense_argmax_valid(space, logits, edp, cap_w);
+    PNP_CHECK_MSG(flat >= 0, "the default configuration must stay valid");
+    tc = tuner_classes_from_flat(space, flat, edp);
+    d.cfg = space.config_from_classes(tc.thread, tc.sched, tc.chunk);
+  }
+  d.cap_index = edp ? tc.cap : -1;
+  return d;
+}
+
 // The serving layer scores at both precision tiers.
 template SearchChoice search_power<double>(const SearchSpace&, double,
                                            std::span<const double>,
                                            std::span<const double>,
-                                           std::span<const double>, int);
+                                           std::span<const double>);
 template SearchChoice search_power<float>(const SearchSpace&, double,
                                           std::span<const float>,
                                           std::span<const float>,
-                                          std::span<const float>, int);
+                                          std::span<const float>);
 template SearchChoice search_edp<double>(const SearchSpace&,
                                          std::span<const double>,
                                          std::span<const double>,
                                          std::span<const double>,
-                                         std::span<const double>, int);
+                                         std::span<const double>);
 template SearchChoice search_edp<float>(const SearchSpace&,
                                         std::span<const float>,
                                         std::span<const float>,
                                         std::span<const float>,
-                                        std::span<const float>, int);
+                                        std::span<const float>);
 template SearchChoice exhaustive_power<double>(const SearchSpace&, double,
                                                std::span<const double>,
                                                std::span<const double>,
@@ -341,5 +337,9 @@ template int dense_argmax_valid<double>(const SearchSpace&,
                                         std::span<const double>, bool, double);
 template int dense_argmax_valid<float>(const SearchSpace&,
                                        std::span<const float>, bool, double);
+template Decoded decode_logits<double>(const SearchSpace&, bool, bool,
+                                       std::span<const double>, double);
+template Decoded decode_logits<float>(const SearchSpace&, bool, bool,
+                                      std::span<const float>, double);
 
 }  // namespace pnp::core

@@ -146,78 +146,6 @@ std::vector<int> PnpTuner::edp_labels(int region) const {
                       opt_.factored_heads, /*edp_scenario=*/true);
 }
 
-sim::OmpConfig PnpTuner::decode_config(std::span<const int> preds,
-                                       int base) const {
-  const SearchSpace& s = db_.space();
-  if (opt_.factored_heads) {
-    return s.config_from_classes(preds[static_cast<std::size_t>(base)],
-                                 preds[static_cast<std::size_t>(base) + 1],
-                                 preds[static_cast<std::size_t>(base) + 2]);
-  }
-  const TunerClasses c =
-      tuner_classes_from_flat(s, preds[0], mode_ == Mode::Edp);
-  return s.config_from_classes(c.thread, c.sched, c.chunk);
-}
-
-sim::OmpConfig PnpTuner::decode_power_logits(std::span<const double> logits,
-                                             double cap_w,
-                                             int beam_width) const {
-  const SearchSpace& s = db_.space();
-  if (opt_.factored_heads) {
-    const int nt = s.num_thread_classes(), ns = s.num_schedule_classes();
-    const int nc = s.num_chunk_classes();
-    const auto choice = search_power<double>(
-        s, cap_w, logits.subspan(0, static_cast<std::size_t>(nt)),
-        logits.subspan(static_cast<std::size_t>(nt),
-                       static_cast<std::size_t>(ns)),
-        logits.subspan(static_cast<std::size_t>(nt + ns),
-                       static_cast<std::size_t>(nc)),
-        beam_width);
-    return s.config_from_classes(choice.thread_cls, choice.sched_cls,
-                                 choice.chunk_cls);
-  }
-  const int flat = dense_argmax_valid(s, logits, /*edp=*/false, cap_w);
-  if (flat < 0) return s.default_config();
-  const TunerClasses c = tuner_classes_from_flat(s, flat, /*edp=*/false);
-  return s.config_from_classes(c.thread, c.sched, c.chunk);
-}
-
-PnpTuner::JointChoice PnpTuner::decode_edp_logits(
-    std::span<const double> logits, int beam_width) const {
-  const SearchSpace& s = db_.space();
-  JointChoice jc;
-  if (opt_.factored_heads) {
-    const int np = s.num_cap_classes(), nt = s.num_thread_classes();
-    const int ns = s.num_schedule_classes(), nc = s.num_chunk_classes();
-    const auto choice = search_edp<double>(
-        s, logits.subspan(0, static_cast<std::size_t>(np)),
-        logits.subspan(static_cast<std::size_t>(np),
-                       static_cast<std::size_t>(nt)),
-        logits.subspan(static_cast<std::size_t>(np + nt),
-                       static_cast<std::size_t>(ns)),
-        logits.subspan(static_cast<std::size_t>(np + nt + ns),
-                       static_cast<std::size_t>(nc)),
-        beam_width);
-    jc.cap_index = choice.cap_cls;
-    jc.cfg = s.config_from_classes(choice.thread_cls, choice.sched_cls,
-                                   choice.chunk_cls);
-    return jc;
-  }
-  int flat = dense_argmax_valid(s, logits, /*edp=*/true, 0.0);
-  if (flat < 0) {
-    // Everything pruned: serve the default at the best-scoring default
-    // slot's cap — scan the per-cap default logits is overkill here, the
-    // highest cap (TDP, least constrained) is the canonical fallback.
-    jc.cap_index = s.num_cap_classes() - 1;
-    jc.cfg = s.default_config();
-    return jc;
-  }
-  const TunerClasses c = tuner_classes_from_flat(s, flat, /*edp=*/true);
-  jc.cap_index = c.cap;
-  jc.cfg = s.config_from_classes(c.thread, c.sched, c.chunk);
-  return jc;
-}
-
 std::vector<int> PnpTuner::head_layout(Mode mode) const {
   return tuner_head_layout(db_.space(), opt_.factored_heads,
                            mode == Mode::Edp);
@@ -480,10 +408,10 @@ sim::OmpConfig PnpTuner::predict_power(int region, int cap_index) const {
   const auto extra = make_extra(region, cap_index, std::nullopt);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_power_logits(
-      dc.logits,
-      db_.space().power_caps()[static_cast<std::size_t>(cap_index)],
-      /*beam_width=*/0);
+  return decode_logits<double>(
+             db_.space(), opt_.factored_heads, /*edp=*/false, dc.logits,
+             db_.space().power_caps()[static_cast<std::size_t>(cap_index)])
+      .cfg;
 }
 
 sim::OmpConfig PnpTuner::predict_power_at(int region, double cap_w) const {
@@ -494,7 +422,9 @@ sim::OmpConfig PnpTuner::predict_power_at(int region, double cap_w) const {
   const auto extra = make_extra(region, std::nullopt, cap_w);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_power_logits(dc.logits, cap_w, /*beam_width=*/0);
+  return decode_logits<double>(db_.space(), opt_.factored_heads,
+                               /*edp=*/false, dc.logits, cap_w)
+      .cfg;
 }
 
 PnpTuner::JointChoice PnpTuner::predict_edp(int region) const {
@@ -503,7 +433,9 @@ PnpTuner::JointChoice PnpTuner::predict_edp(int region) const {
   const auto extra = make_extra(region, std::nullopt, std::nullopt);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_edp_logits(dc.logits, /*beam_width=*/0);
+  const Decoded d = decode_logits<double>(db_.space(), opt_.factored_heads,
+                                         /*edp=*/true, dc.logits, 0.0);
+  return {d.cap_index, d.cfg};
 }
 
 TunerArtifact PnpTuner::to_artifact() const {

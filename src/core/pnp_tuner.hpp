@@ -204,17 +204,6 @@ class PnpTuner {
                                   std::span<const double> mfeats, int region,
                                   int cap) const;
   std::vector<int> edp_labels(int region) const;
-  sim::OmpConfig decode_config(std::span<const int> preds, int base) const;
-  /// Constraint-aware decode straight from the classifier logits: factored
-  /// heads go through core::search_* (per-head-argmax fast path, beam on
-  /// constraint violation), the dense head through a validity-filtered
-  /// argmax scan. `beam_width` <= 0 = full width (exact); serving layers
-  /// pass their configured width. On constraint-free spaces both decodes
-  /// are bit-identical to the historic independent/flat argmax.
-  sim::OmpConfig decode_power_logits(std::span<const double> logits,
-                                     double cap_w, int beam_width) const;
-  JointChoice decode_edp_logits(std::span<const double> logits,
-                                int beam_width) const;
   void build_model(Mode mode, const std::vector<int>& train_regions);
   nn::TrainReport run_training(const std::vector<nn::TrainSample>& samples);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -45,6 +46,7 @@ SearchSpace SearchSpace::for_machine(const hw::MachineModel& m) {
     }
   }
   s.default_ = sim::OmpConfig{m.max_threads(), sim::Schedule::Static, 0};
+  s.build_chunk_table();
   return s;
 }
 
@@ -72,6 +74,7 @@ SearchSpace SearchSpace::extended_for_machine(const hw::MachineModel& m) {
        static_cast<double>(static_cast<int>(sim::Schedule::Dynamic)), 4.0},
       {ConstraintRule::Kind::kMaxChunkThreadProduct, 4096.0, 0.0},
   };
+  s.build_chunk_table();
   return s;
 }
 
@@ -84,6 +87,9 @@ SearchSpace SearchSpace::custom(std::vector<int> threads,
   PNP_CHECK_MSG(!threads.empty() && !schedules.empty() && !chunks.empty() &&
                     !caps.empty(),
                 "custom search space needs non-empty grids");
+  PNP_CHECK_MSG(std::all_of(threads.begin(), threads.end(),
+                            [](int t) { return t > 0; }),
+                "thread counts must be positive");
   PNP_CHECK_MSG(std::is_sorted(caps.begin(), caps.end()),
                 "power caps must be ascending");
   PNP_CHECK_MSG(default_cfg.chunk == 0,
@@ -109,43 +115,62 @@ SearchSpace SearchSpace::custom(std::vector<int> threads,
   s.caps_ = std::move(caps);
   s.default_ = default_cfg;
   s.constraints_ = std::move(constraints);
+  s.build_chunk_table();
   return s;
 }
 
 bool SearchSpace::is_valid(const sim::OmpConfig& cfg, double cap_w) const {
   if (cfg == default_) return true;  // the fallback guarantee
-  for (const ConstraintRule& r : constraints_) {
-    switch (r.kind) {
-      case ConstraintRule::Kind::kMaxThreads:
-        if (static_cast<double>(cfg.threads) > r.a) return false;
-        break;
-      case ConstraintRule::Kind::kMaxThreadsPerWatt:
-        if (static_cast<double>(cfg.threads) > r.a * cap_w) return false;
-        break;
-      case ConstraintRule::Kind::kMinChunkForSchedule:
-        if (static_cast<int>(cfg.schedule) == static_cast<int>(r.a) &&
-            cfg.chunk != 0 && static_cast<double>(cfg.chunk) < r.b)
-          return false;
-        break;
-      case ConstraintRule::Kind::kMaxChunkThreadProduct:
-        if (cfg.chunk != 0 &&
-            static_cast<double>(cfg.threads) * static_cast<double>(cfg.chunk) >
-                r.a)
-          return false;
-        break;
-    }
-  }
-  return true;
+  return static_cast<double>(cfg.threads) <= thread_limit(cap_w) &&
+         chunk_rules_admit(cfg);
 }
 
-int SearchSpace::max_valid_threads(double cap_w) const {
-  double limit = static_cast<double>(threads_.back());
+double SearchSpace::thread_limit(double cap_w) const {
+  // threads > a for some rule iff threads > the smallest a.
+  double limit = std::numeric_limits<double>::infinity();
   for (const ConstraintRule& r : constraints_) {
     if (r.kind == ConstraintRule::Kind::kMaxThreads)
       limit = std::min(limit, r.a);
     else if (r.kind == ConstraintRule::Kind::kMaxThreadsPerWatt)
       limit = std::min(limit, r.a * cap_w);
   }
+  return limit;
+}
+
+bool SearchSpace::chunk_rules_admit(const sim::OmpConfig& cfg) const {
+  for (const ConstraintRule& r : constraints_) {
+    if (r.kind == ConstraintRule::Kind::kMinChunkForSchedule) {
+      if (static_cast<int>(cfg.schedule) == static_cast<int>(r.a) &&
+          cfg.chunk != 0 && static_cast<double>(cfg.chunk) < r.b)
+        return false;
+    } else if (r.kind == ConstraintRule::Kind::kMaxChunkThreadProduct) {
+      if (cfg.chunk != 0 &&
+          static_cast<double>(cfg.threads) * static_cast<double>(cfg.chunk) >
+              r.a)
+        return false;
+    }
+  }
+  return true;
+}
+
+void SearchSpace::build_chunk_table() {
+  const int nt = num_thread_classes(), ns = num_schedule_classes();
+  const int nc = num_chunk_classes();
+  chunk_ok_.assign(static_cast<std::size_t>(nt * ns * nc), 0);
+  std::size_t i = 0;
+  for (int t = 0; t < nt; ++t)
+    for (int s = 0; s < ns; ++s)
+      for (int k = 0; k < nc; ++k, ++i) {
+        const sim::OmpConfig cfg = config_from_classes(t, s, k);
+        if (cfg == default_)
+          chunk_ok_[i] = kChunkAdmitted | kChunkExempt;
+        else if (chunk_rules_admit(cfg))
+          chunk_ok_[i] = kChunkAdmitted;
+      }
+}
+
+int SearchSpace::max_valid_threads(double cap_w) const {
+  const double limit = thread_limit(cap_w);
   int best = 0;  // 0 = every grid thread count is pruned at this cap
   for (int t : threads_)
     if (static_cast<double>(t) <= limit) best = std::max(best, t);

@@ -22,11 +22,14 @@
 /// over arbitrary thread/chunk grids and `extended_for_machine()` builds a
 /// ≥2000-point grid with realistic validity constraints. Constraints are
 /// declarative `ConstraintRule` triples (kind, a, b) so they can be
-/// fingerprinted into the tuner artifact, and `is_valid()` is the single
-/// constraint layer every scorer (oracle, beam search, serving decode)
-/// consults. The machine's default configuration is always valid — it is
-/// the guaranteed fallback when pruning empties a cap's slice.
+/// fingerprinted into the tuner artifact. `is_valid()` is the constraint
+/// layer for arbitrary configurations; the decode reads the same rules
+/// split by the axes they touch — a thread-count bound per cap
+/// (`max_valid_threads`) and a per-(thread, schedule) chunk table built
+/// once at construction (`chunk_validity`). The machine's default
+/// configuration is always valid, so every cap keeps a valid answer.
 
+#include <cstdint>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -97,10 +100,28 @@ class SearchSpace {
   bool is_valid(const sim::OmpConfig& cfg, double cap_w) const;
 
   /// Largest thread count on the grid that the thread-only rules admit at
-  /// `cap_w` (0 if they admit none). The default config is exempt from
-  /// pruning — `is_valid` handles that; this is the beam search's early
-  /// thread-stage bound.
+  /// `cap_w` (0 if they admit none): a grid thread count passes those
+  /// rules iff it is <= this bound. The default config is exempt from
+  /// pruning — `is_valid` and `chunk_validity` carry that exemption.
   int max_valid_threads(double cap_w) const;
+
+  /// Chunk-class validity row of one (thread class, schedule class) pair,
+  /// num_chunk_classes() entries long. Derived at construction from the
+  /// cap-independent rules (min chunk for schedule, chunk × thread
+  /// ceiling); it is not serialized and not part of the artifact
+  /// fingerprint. Entry k carries kChunkAdmitted when those rules admit
+  /// chunk class k, plus kChunkExempt when the tuple is the machine
+  /// default. The tuple is valid at `cap_w` iff its entry has
+  /// kChunkExempt, or kChunkAdmitted and the thread count is <=
+  /// max_valid_threads(cap_w) — exactly `is_valid` on the class tuple.
+  static constexpr std::uint8_t kChunkAdmitted = 1;
+  static constexpr std::uint8_t kChunkExempt = 2;
+  const std::uint8_t* chunk_validity(int thread_cls, int sched_cls) const {
+    return chunk_ok_.data() +
+           static_cast<std::size_t>(thread_cls * num_schedule_classes() +
+                                    sched_cls) *
+               static_cast<std::size_t>(num_chunk_classes());
+  }
 
   /// Joint candidates removed by the constraint layer (0 on Table I
   /// spaces, which carry no constraints).
@@ -158,12 +179,20 @@ class SearchSpace {
   int cap_index(double cap_w) const;
 
  private:
+  /// min over the thread-only rules' bounds at `cap_w` (+inf if none).
+  double thread_limit(double cap_w) const;
+  /// The cap-independent rules (they constrain the chunk).
+  bool chunk_rules_admit(const sim::OmpConfig& cfg) const;
+  /// Fill chunk_ok_; every factory calls it last.
+  void build_chunk_table();
+
   std::vector<int> threads_;
   std::vector<sim::Schedule> schedules_;
   std::vector<int> chunks_;
   std::vector<double> caps_;
   std::vector<ConstraintRule> constraints_;
   sim::OmpConfig default_;
+  std::vector<std::uint8_t> chunk_ok_;  ///< see chunk_validity
 };
 
 }  // namespace pnp::core

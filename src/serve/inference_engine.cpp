@@ -6,8 +6,6 @@
 
 #include "common/error.hpp"
 #include "core/config_search.hpp"
-#include "core/tuner_artifact.hpp"
-#include "nn/loss.hpp"
 
 namespace pnp::serve {
 
@@ -42,8 +40,8 @@ namespace {
 // allocation path's DenseCache buffer-for-buffer (separate pre/post
 // activations) so both paths run the identical dense_forward_spans code;
 // the f32 tier runs ReLU in place and needs fewer slots.
-enum F64Slot { kExtra64 = 0, kU0, kZ1, kA1, kZ2, kA2, kLogits, kPreds64 };
-enum F32Slot { kExtra32 = 0, kU0F, kH1F, kH2F, kLogitsF, kPreds32 };
+enum F64Slot { kExtra64 = 0, kU0, kZ1, kA1, kZ2, kA2, kLogits };
+enum F32Slot { kExtra32 = 0, kU0F, kH1F, kH2F, kLogitsF };
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -53,10 +51,9 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }  // namespace
 
 ModelState::ModelState(core::PnpTuner tuner,
-                       std::optional<nn::Precision> precision, int beam_width)
+                       std::optional<nn::Precision> precision)
     : tuner_(std::move(tuner)),
-      precision_(precision.value_or(tuner_.serve_precision())),
-      beam_width_(beam_width) {
+      precision_(precision.value_or(tuner_.serve_precision())) {
   PNP_CHECK_MSG(
       tuner_.net_ != nullptr && tuner_.mode_ != core::PnpTuner::Mode::None,
       "serving needs a trained or loaded tuner");
@@ -66,7 +63,6 @@ ModelState::ModelState(core::PnpTuner tuner,
 
 void ModelState::Workspace::bind(const ModelState& m) {
   const nn::RgcnNetConfig& cfg = m.tuner_.net_->config();
-  const int heads = static_cast<int>(cfg.head_sizes.size());
   std::uint64_t key = 0x8000000000000001ull;  // never 0 (= unbound)
   key = mix(key, static_cast<std::uint64_t>(m.precision_));
   key = mix(key, static_cast<std::uint64_t>(cfg.extra_features));
@@ -74,12 +70,11 @@ void ModelState::Workspace::bind(const ModelState& m) {
   key = mix(key, static_cast<std::uint64_t>(cfg.dense_hidden1));
   key = mix(key, static_cast<std::uint64_t>(cfg.dense_hidden2));
   key = mix(key, static_cast<std::uint64_t>(cfg.total_logits()));
-  key = mix(key, static_cast<std::uint64_t>(heads));
   if (key == key_) return;
 
   // Lifetimes by execution step of run_heads: fill_extra writes `extra`
   // (0), u0 = readout ⊕ extra (1), each linear/activation is one step,
-  // argmax reads logits and writes preds last. Buffers whose intervals
+  // and the logits live until the decode reads them. Buffers whose intervals
   // never meet (e.g. extra and z1) share bytes.
   const auto d = [](int n) { return static_cast<std::size_t>(n) * sizeof(double); };
   const auto f = [](int n) { return static_cast<std::size_t>(n) * sizeof(float); };
@@ -93,7 +88,6 @@ void ModelState::Workspace::bind(const ModelState& m) {
         {"z2", d(cfg.dense_hidden2), 4, 5},
         {"a2", d(cfg.dense_hidden2), 5, 6},
         {"logits", d(cfg.total_logits()), 6, 7},
-        {"preds", static_cast<std::size_t>(heads) * sizeof(int), 7, 8},
     };
   } else {
     specs = {
@@ -102,7 +96,6 @@ void ModelState::Workspace::bind(const ModelState& m) {
         {"h1f", f(cfg.dense_hidden1), 2, 3},
         {"h2f", f(cfg.dense_hidden2), 3, 4},
         {"logitsf", f(cfg.total_logits()), 4, 5},
-        {"preds", static_cast<std::size_t>(heads) * sizeof(int), 5, 6},
     };
   }
   arena_.reset(nn::ArenaPlan::build(std::move(specs)));
@@ -158,12 +151,8 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
   tuner_.fill_extra(region, cap_index, cap_w, s.extra);
   const nn::RgcnNet& net = *tuner_.net_;
   const nn::RgcnNetConfig& cfg = net.config();
-  const int heads = static_cast<int>(cfg.head_sizes.size());
-  s.preds.clear();
   if (precision_ == nn::Precision::f64) {
     net.dense_forward_into(enc.readout, s.extra, s.dc);
-    for (int h = 0; h < heads; ++h)
-      s.preds.push_back(nn::argmax_index(net.head_logits(s.dc, h)));
     return;
   }
   PNP_CHECK_MSG(enc.readout_f32.size() == enc.readout.size(),
@@ -177,12 +166,6 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
   s.h2f.resize(static_cast<std::size_t>(cfg.dense_hidden2));
   s.logitsf.resize(static_cast<std::size_t>(cfg.total_logits()));
   nn::RgcnNet::dense_forward_f32(dense_f32_, s.u0f, s.h1f, s.h2f, s.logitsf);
-  for (int h = 0; h < heads; ++h)
-    s.preds.push_back(nn::argmax_index(
-        std::span<const float>(s.logitsf)
-            .subspan(static_cast<std::size_t>(net.head_offset(h)),
-                     static_cast<std::size_t>(
-                         cfg.head_sizes[static_cast<std::size_t>(h)]))));
 }
 
 void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
@@ -194,8 +177,6 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
                         .power_caps()[static_cast<std::size_t>(*cap_index)]
                   : cap_w.value_or(0.0);
   const nn::RgcnNet& net = *tuner_.net_;
-  const nn::RgcnNetConfig& cfg = net.config();
-  const int heads = static_cast<int>(cfg.head_sizes.size());
   nn::Arena& a = ws.arena_;
   const auto dspan = [&a](std::size_t slot) {
     return std::span<double>(a.data<double>(slot), a.count<double>(slot));
@@ -206,15 +187,9 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
   if (precision_ == nn::Precision::f64) {
     const std::span<double> extra = dspan(kExtra64);
     tuner_.fill_extra_into(region, cap_index, cap_w, extra);
-    const std::span<double> logits = dspan(kLogits);
     net.dense_forward_spans(enc.readout, extra, dspan(kU0), dspan(kZ1),
-                            dspan(kA1), dspan(kZ2), dspan(kA2), logits);
-    int* preds = a.data<int>(kPreds64);
-    for (int h = 0; h < heads; ++h)
-      preds[h] = nn::argmax_index(std::span<const double>(logits).subspan(
-          static_cast<std::size_t>(net.head_offset(h)),
-          static_cast<std::size_t>(
-              cfg.head_sizes[static_cast<std::size_t>(h)])));
+                            dspan(kA1), dspan(kZ2), dspan(kA2),
+                            dspan(kLogits));
     return;
   }
   PNP_CHECK_MSG(enc.readout_f32.size() == enc.readout.size(),
@@ -226,147 +201,52 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
   std::copy(enc.readout_f32.begin(), enc.readout_f32.end(), u0.begin());
   for (std::size_t i = 0; i < extra.size(); ++i)
     u0[enc.readout_f32.size() + i] = static_cast<float>(extra[i]);
-  const std::span<float> logits = fspan(kLogitsF);
   nn::RgcnNet::dense_forward_f32(dense_f32_, u0, fspan(kH1F), fspan(kH2F),
-                                 logits);
-  int* preds = a.data<int>(kPreds32);
-  for (int h = 0; h < heads; ++h)
-    preds[h] = nn::argmax_index(std::span<const float>(logits).subspan(
-        static_cast<std::size_t>(net.head_offset(h)),
-        static_cast<std::size_t>(
-            cfg.head_sizes[static_cast<std::size_t>(h)])));
+                                 fspan(kLogitsF));
 }
 
-std::span<const int> ModelState::preds_of(const Workspace& ws) const {
+core::Decoded ModelState::decode(const Scratch& s, bool edp) const {
+  const core::SearchSpace& space = tuner_.db_.space();
+  const bool factored = tuner_.opt_.factored_heads;
+  if (precision_ == nn::Precision::f64)
+    return core::decode_logits<double>(space, factored, edp, s.dc.logits,
+                                       s.cap_w);
+  return core::decode_logits<float>(space, factored, edp, s.logitsf, s.cap_w);
+}
+
+core::Decoded ModelState::decode(const Workspace& ws, bool edp) const {
   PNP_CHECK_MSG(ws.key_ != 0, "decode before run_heads on this workspace");
-  const std::size_t slot = precision_ == nn::Precision::f64
-                               ? static_cast<std::size_t>(kPreds64)
-                               : static_cast<std::size_t>(kPreds32);
-  return {ws.arena_.data<int>(slot), ws.arena_.count<int>(slot)};
-}
-
-template <typename T>
-sim::OmpConfig ModelState::decode_power_logits_t(std::span<const int> preds,
-                                                 std::span<const T> logits,
-                                                 double cap_w) const {
   const core::SearchSpace& space = tuner_.db_.space();
-  // Fast path: run_heads already computed the per-head (or flat) argmax —
-  // the maximum-sum tuple. If the constraint layer admits it, it is the
-  // constrained argmax too, and this decode is the historic one verbatim.
-  const sim::OmpConfig fast = tuner_.decode_config(preds, 0);
-  if (space.is_valid(fast, cap_w)) return fast;
-  if (tuner_.opt_.factored_heads) {
-    const int nt = space.num_thread_classes();
-    const int ns = space.num_schedule_classes();
-    const int nc = space.num_chunk_classes();
-    const auto choice = core::search_power<T>(
-        space, cap_w, logits.subspan(0, static_cast<std::size_t>(nt)),
-        logits.subspan(static_cast<std::size_t>(nt),
-                       static_cast<std::size_t>(ns)),
-        logits.subspan(static_cast<std::size_t>(nt + ns),
-                       static_cast<std::size_t>(nc)),
-        beam_width_);
-    return space.config_from_classes(choice.thread_cls, choice.sched_cls,
-                                     choice.chunk_cls);
-  }
-  const int flat =
-      core::dense_argmax_valid<T>(space, logits, /*edp_scenario=*/false, cap_w);
-  if (flat < 0) return space.default_config();
-  const core::TunerClasses c =
-      core::tuner_classes_from_flat(space, flat, /*edp_scenario=*/false);
-  return space.config_from_classes(c.thread, c.sched, c.chunk);
-}
-
-template <typename T>
-core::PnpTuner::JointChoice ModelState::decode_edp_logits_t(
-    std::span<const int> preds, std::span<const T> logits) const {
-  const core::SearchSpace& space = tuner_.db_.space();
-  core::PnpTuner::JointChoice jc;
-  if (tuner_.opt_.factored_heads) {
-    jc.cap_index = preds[0];
-    jc.cfg = tuner_.decode_config(preds, 1);
-  } else {
-    jc.cap_index = core::tuner_classes_from_flat(space, preds[0],
-                                                 /*edp_scenario=*/true)
-                       .cap;
-    jc.cfg = tuner_.decode_config(preds, 0);
-  }
-  const double cap_w =
-      space.power_caps()[static_cast<std::size_t>(jc.cap_index)];
-  if (space.is_valid(jc.cfg, cap_w)) return jc;
-  if (tuner_.opt_.factored_heads) {
-    const int np = space.num_cap_classes();
-    const int nt = space.num_thread_classes();
-    const int ns = space.num_schedule_classes();
-    const int nc = space.num_chunk_classes();
-    const auto choice = core::search_edp<T>(
-        space, logits.subspan(0, static_cast<std::size_t>(np)),
-        logits.subspan(static_cast<std::size_t>(np),
-                       static_cast<std::size_t>(nt)),
-        logits.subspan(static_cast<std::size_t>(np + nt),
-                       static_cast<std::size_t>(ns)),
-        logits.subspan(static_cast<std::size_t>(np + nt + ns),
-                       static_cast<std::size_t>(nc)),
-        beam_width_);
-    jc.cap_index = choice.cap_cls;
-    jc.cfg = space.config_from_classes(choice.thread_cls, choice.sched_cls,
-                                       choice.chunk_cls);
-    return jc;
-  }
-  const int flat = core::dense_argmax_valid<T>(space, logits,
-                                               /*edp_scenario=*/true, 0.0);
-  if (flat < 0) {
-    jc.cap_index = space.num_cap_classes() - 1;
-    jc.cfg = space.default_config();
-    return jc;
-  }
-  const core::TunerClasses c =
-      core::tuner_classes_from_flat(space, flat, /*edp_scenario=*/true);
-  jc.cap_index = c.cap;
-  jc.cfg = space.config_from_classes(c.thread, c.sched, c.chunk);
-  return jc;
-}
-
-sim::OmpConfig ModelState::decode_power(const Scratch& s) const {
+  const bool factored = tuner_.opt_.factored_heads;
   if (precision_ == nn::Precision::f64)
-    return decode_power_logits_t<double>(
-        s.preds, std::span<const double>(s.dc.logits), s.cap_w);
-  return decode_power_logits_t<float>(
-      s.preds, std::span<const float>(s.logitsf), s.cap_w);
-}
-
-sim::OmpConfig ModelState::decode_power(const Workspace& ws) const {
-  const std::span<const int> preds = preds_of(ws);
-  if (precision_ == nn::Precision::f64)
-    return decode_power_logits_t<double>(
-        preds,
+    return core::decode_logits<double>(
+        space, factored, edp,
         std::span<const double>(ws.arena_.data<double>(kLogits),
                                 ws.arena_.count<double>(kLogits)),
         ws.cap_w_);
-  return decode_power_logits_t<float>(
-      preds,
+  return core::decode_logits<float>(
+      space, factored, edp,
       std::span<const float>(ws.arena_.data<float>(kLogitsF),
                              ws.arena_.count<float>(kLogitsF)),
       ws.cap_w_);
 }
 
+sim::OmpConfig ModelState::decode_power(const Scratch& s) const {
+  return decode(s, /*edp=*/false).cfg;
+}
+
+sim::OmpConfig ModelState::decode_power(const Workspace& ws) const {
+  return decode(ws, /*edp=*/false).cfg;
+}
+
 core::PnpTuner::JointChoice ModelState::decode_edp(const Scratch& s) const {
-  if (precision_ == nn::Precision::f64)
-    return decode_edp_logits_t<double>(s.preds,
-                                       std::span<const double>(s.dc.logits));
-  return decode_edp_logits_t<float>(s.preds,
-                                    std::span<const float>(s.logitsf));
+  const core::Decoded d = decode(s, /*edp=*/true);
+  return {d.cap_index, d.cfg};
 }
 
 core::PnpTuner::JointChoice ModelState::decode_edp(const Workspace& ws) const {
-  const std::span<const int> preds = preds_of(ws);
-  if (precision_ == nn::Precision::f64)
-    return decode_edp_logits_t<double>(
-        preds, std::span<const double>(ws.arena_.data<double>(kLogits),
-                                       ws.arena_.count<double>(kLogits)));
-  return decode_edp_logits_t<float>(
-      preds, std::span<const float>(ws.arena_.data<float>(kLogitsF),
-                                    ws.arena_.count<float>(kLogitsF)));
+  const core::Decoded d = decode(ws, /*edp=*/true);
+  return {d.cap_index, d.cfg};
 }
 
 // --- InferenceEngine ---------------------------------------------------------
@@ -377,7 +257,7 @@ InferenceEngine::InferenceEngine(const core::MeasurementDb& db,
     : InferenceEngine(core::PnpTuner::load(db, path), options) {}
 
 InferenceEngine::InferenceEngine(core::PnpTuner tuner, EngineOptions options)
-    : state_(std::move(tuner), options.precision, options.beam_width),
+    : state_(std::move(tuner), options.precision),
       opt_(options) {
   scratch_.resize(static_cast<std::size_t>(worker_count()));
 }
@@ -425,12 +305,22 @@ sim::OmpConfig InferenceEngine::serve_power(const nn::RgcnNet::GnnCache& enc,
                                             std::optional<int> cap_index,
                                             std::optional<double> cap_w,
                                             PerThread& t) {
+  core::Decoded d;
   if (opt_.use_arena) {
     state_.run_heads(enc, region, cap_index, cap_w, t.ws);
-    return state_.decode_power(t.ws);
+    d = state_.decode(t.ws, /*edp=*/false);
+  } else {
+    state_.run_heads(enc, region, cap_index, cap_w, t.scratch);
+    d = state_.decode(t.scratch, /*edp=*/false);
   }
-  state_.run_heads(enc, region, cap_index, cap_w, t.scratch);
-  return state_.decode_power(t.scratch);
+  t.argmax_pruned += d.argmax_pruned ? 1 : 0;
+  return d.cfg;
+}
+
+std::uint64_t InferenceEngine::argmax_pruned() const {
+  std::uint64_t n = 0;
+  for (const PerThread& t : scratch_) n += t.argmax_pruned;
+  return n;
 }
 
 sim::OmpConfig InferenceEngine::predict_power(int region, int cap_index) {

@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/config_search.hpp"
 #include "core/pnp_tuner.hpp"
 #include "nn/arena.hpp"
 
@@ -51,13 +52,9 @@ class ModelState {
   /// no trained scenario. `precision` overrides the serving tier; nullopt
   /// uses the tuner's artifact-persisted preference (f64 by default).
   /// At Precision::f32 the dense weights are down-converted once here and
-  /// encodings additionally carry an f32 readout. `beam_width` bounds the
-  /// constraint-fallback beam search (<= 0 = full width, exact); it only
-  /// matters when the per-head argmax tuple violates a constraint —
-  /// unconstrained spaces never run the beam.
+  /// encodings additionally carry an f32 readout.
   explicit ModelState(core::PnpTuner tuner,
-                      std::optional<nn::Precision> precision = std::nullopt,
-                      int beam_width = 0);
+                      std::optional<nn::Precision> precision = std::nullopt);
 
   const core::PnpTuner& tuner() const { return tuner_; }
   core::PnpTuner::Mode mode() const { return tuner_.mode(); }
@@ -74,7 +71,6 @@ class ModelState {
   struct Scratch {
     nn::RgcnNet::DenseCache dc;
     std::vector<double> extra;
-    std::vector<int> preds;
     /// f32 tier only: u0 = readout_f32 ⊕ extra, in-place-relu hiddens,
     /// logits.
     std::vector<float> u0f, h1f, h2f, logitsf;
@@ -85,8 +81,8 @@ class ModelState {
   };
 
   /// Arena-backed per-thread serving workspace: every per-request scratch
-  /// tensor of run_heads — extra features, dense activations, logits,
-  /// predictions — laid into ONE contiguous nn::Arena with lifetime-based
+  /// tensor of run_heads — extra features, dense activations, logits —
+  /// laid into ONE contiguous nn::Arena with lifetime-based
   /// byte reuse (nn/arena.hpp). bind() re-plans only when the model's
   /// dense shape or precision changes (first use and hot reloads);
   /// steady-state run_heads/decode touch one hot cache-resident block and
@@ -120,7 +116,7 @@ class ModelState {
   /// allocation when the shapes already match).
   void encode(int region, nn::RgcnNet::GnnCache& out) const;
 
-  /// Dense pass + argmax over a cached encoding; fills s.preds. Exactly
+  /// Dense pass over a cached encoding; fills the scratch logits. Exactly
   /// one of `cap_index` / `cap_w` is set for power queries (cap_w serves
   /// held-out caps on scalar-cap models); both empty for EDP.
   void run_heads(const nn::RgcnNet::GnnCache& enc, int region,
@@ -134,33 +130,21 @@ class ModelState {
                  std::optional<int> cap_index, std::optional<double> cap_w,
                  Workspace& ws) const;
 
-  /// Decode after a power-scenario run_heads: the argmax tuple in preds is
-  /// constraint-checked against the stashed query cap; a violation falls
-  /// back to beam search over the logits (both live in the scratch /
-  /// workspace, at the serving tier). On unconstrained spaces this is the
-  /// historic argmax decode bit-for-bit.
+  /// Decode the logits of the last run_heads at the serving tier through
+  /// core::decode_logits (the same decode PnpTuner runs), against the
+  /// stashed query cap in power mode. On unconstrained spaces this is the
+  /// historic argmax decode.
+  core::Decoded decode(const Scratch& s, bool edp) const;
+  core::Decoded decode(const Workspace& ws, bool edp) const;
+  /// decode() after a power-scenario / EDP run_heads.
   sim::OmpConfig decode_power(const Scratch& s) const;
   sim::OmpConfig decode_power(const Workspace& ws) const;
-  /// Decode after an EDP run_heads (same fast-path/beam protocol).
   core::PnpTuner::JointChoice decode_edp(const Scratch& s) const;
   core::PnpTuner::JointChoice decode_edp(const Workspace& ws) const;
 
-  /// Beam width of the constraint-fallback search (0 = full width).
-  int beam_width() const { return beam_width_; }
-
  private:
-  template <typename T>
-  sim::OmpConfig decode_power_logits_t(std::span<const int> preds,
-                                       std::span<const T> logits,
-                                       double cap_w) const;
-  template <typename T>
-  core::PnpTuner::JointChoice decode_edp_logits_t(
-      std::span<const int> preds, std::span<const T> logits) const;
-  std::span<const int> preds_of(const Workspace& ws) const;
-
   core::PnpTuner tuner_;
   nn::Precision precision_ = nn::Precision::f64;
-  int beam_width_ = 0;
   /// f32 tier only: the dense weights down-converted once at construction.
   nn::RgcnNet::DenseWeightsF32 dense_f32_;
 };
@@ -172,9 +156,6 @@ struct EngineOptions {
   /// Arena-backed per-query scratch (the fast path). false keeps the
   /// allocation-path oracle — kept selectable so tests can compare both.
   bool use_arena = true;
-  /// Constraint-fallback beam width (<= 0 = full width). Only consulted
-  /// when the argmax tuple is pruned by the space's constraint layer.
-  int beam_width = 0;
 };
 
 class InferenceEngine {
@@ -217,6 +198,10 @@ class InferenceEngine {
   /// Number of region encodings currently cached.
   std::size_t cached_encodings() const { return enc_.size(); }
 
+  /// Power queries served so far whose unconstrained argmax the
+  /// constraint layer rejected (0 on constraint-free spaces).
+  std::uint64_t argmax_pruned() const;
+
  private:
   /// Per-thread serving state (index 0 serves the serial path): the
   /// allocation-path Scratch and the arena-backed Workspace; EngineOptions
@@ -224,6 +209,7 @@ class InferenceEngine {
   struct PerThread {
     ModelState::Scratch scratch;
     ModelState::Workspace ws;
+    std::uint64_t argmax_pruned = 0;  ///< see argmax_pruned()
   };
 
   /// Encode any not-yet-cached regions of the batch (parallel when built

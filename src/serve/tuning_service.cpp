@@ -46,9 +46,9 @@ void pin_to_cpu(std::thread& t, unsigned cpu) {
 
 TuningService::Snapshot::Snapshot(core::PnpTuner tuner,
                                   std::optional<nn::Precision> precision,
-                                  int beam_width, std::size_t shard_count,
+                                  std::size_t shard_count,
                                   std::shared_ptr<Counters> ctrs)
-    : model(std::move(tuner), precision, beam_width),
+    : model(std::move(tuner), precision),
       locks(shard_count),
       shards(shard_count),
       counters(std::move(ctrs)) {}
@@ -203,8 +203,7 @@ std::uint64_t TuningService::publish_locked(core::PnpTuner tuner) {
   // ModelState's constructor rejects untrained tuners, so an invalid
   // candidate throws here, before anything is published.
   auto snap = std::make_shared<Snapshot>(std::move(tuner), opt_.precision,
-                                         opt_.beam_width, shard_count(),
-                                         counters_);
+                                         shard_count(), counters_);
   snap->version = snapshot_.version() + 1;
   const std::uint64_t published = snapshot_.publish(std::move(snap));
   return published;

@@ -130,10 +130,6 @@ struct TuningServiceOptions {
   /// allocations). false keeps the allocation-path Scratch oracle —
   /// selectable so tests can compare both end to end.
   bool use_arena = true;
-  /// Constraint-fallback beam width passed to every published ModelState
-  /// (<= 0 = full width, exact). Only consulted when a query's argmax
-  /// tuple is pruned by the search space's constraint layer.
-  int beam_width = 0;
 };
 
 class TuningService {
@@ -249,8 +245,7 @@ class TuningService {
   /// encoding() stays valid for the snapshot's lifetime.
   struct Snapshot {
     Snapshot(core::PnpTuner tuner, std::optional<nn::Precision> precision,
-             int beam_width, std::size_t shard_count,
-             std::shared_ptr<Counters> counters);
+             std::size_t shard_count, std::shared_ptr<Counters> counters);
 
     std::uint64_t version = 0;
     ModelState model;

@@ -1,7 +1,8 @@
-/// Search-equivalence and constraint-layer tests (ISSUE 8): beam/top-k
-/// model-guided search vs the exhaustive oracle, the extended
+/// Search-equivalence and constraint-layer tests: the exact constrained
+/// decode vs the exhaustive oracle (both precisions, power and EDP, grid
+/// and off-grid caps, planted and FP-rounding ties), the extended
 /// constraint-carrying spaces, custom-space validation, and the serving
-/// decode's fast-path/fallback protocol end to end.
+/// decode end to end.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include "core/pnp_tuner.hpp"
 #include "core/search_space.hpp"
 #include "core/tuner_artifact.hpp"
+#include "hw/machine_generator.hpp"
+#include "nn/loss.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/tuning_service.hpp"
 #include "workloads/suite.hpp"
@@ -144,6 +147,8 @@ TEST(CustomSpace, ValidatesItsInputs) {
       SearchSpace::custom({8}, scheds, {1}, {50.0}, def,
                           {{static_cast<ConstraintRule::Kind>(99), 1.0, 0.0}}),
       Error);  // unknown constraint kind
+  EXPECT_THROW(SearchSpace::custom({0, 8}, scheds, {1}, {50.0}, def),
+               Error);  // thread counts must be positive
   const auto ok = SearchSpace::custom(
       {4, 8}, scheds, {1, 2}, {50.0}, def,
       {{ConstraintRule::Kind::kMaxThreads, 4.0, 0.0}});
@@ -151,95 +156,187 @@ TEST(CustomSpace, ValidatesItsInputs) {
   EXPECT_EQ(ok.max_valid_threads(50.0), 4);
 }
 
-// --- Beam search vs the exhaustive oracle ---------------------------------
+// --- Exact constrained decode vs the exhaustive oracle ---------------------
+
+/// A custom space exercising all four rule kinds. The default (16 threads)
+/// sits above the kMaxThreads bound, so it is the one exempt tuple there.
+SearchSpace four_rule_space() {
+  return SearchSpace::custom(
+      {1, 2, 4, 6, 8, 12, 16},
+      {sim::Schedule::Static, sim::Schedule::Dynamic, sim::Schedule::Guided},
+      {1, 2, 4, 8, 16, 64, 256}, {30.0, 45.0, 60.0, 90.0},
+      {16, sim::Schedule::Static, 0},
+      {{ConstraintRule::Kind::kMaxThreads, 12.0, 0.0},
+       {ConstraintRule::Kind::kMaxThreadsPerWatt, 0.2, 0.0},
+       {ConstraintRule::Kind::kMinChunkForSchedule,
+        static_cast<double>(static_cast<int>(sim::Schedule::Guided)), 8.0},
+       {ConstraintRule::Kind::kMaxChunkThreadProduct, 512.0, 0.0}});
+}
+
+/// A custom space with more chunk classes than the decode ranks on the
+/// stack (41), so its heap path runs too.
+SearchSpace long_chunk_space() {
+  std::vector<int> chunks;
+  for (int c = 1; c <= 40; ++c) chunks.push_back(c);
+  return SearchSpace::custom(
+      {1, 2, 4, 8},
+      {sim::Schedule::Static, sim::Schedule::Dynamic, sim::Schedule::Guided},
+      std::move(chunks), {20.0, 40.0}, {8, sim::Schedule::Static, 0},
+      {{ConstraintRule::Kind::kMaxThreadsPerWatt, 0.1, 0.0},
+       {ConstraintRule::Kind::kMinChunkForSchedule,
+        static_cast<double>(static_cast<int>(sim::Schedule::Dynamic)), 10.0},
+       {ConstraintRule::Kind::kMaxChunkThreadProduct, 100.0, 0.0}});
+}
+
+/// Every space the equivalence properties run on: Table I and extended
+/// grids of both paper machines and two generated machines, plus the
+/// four-rule and long-chunk custom spaces.
+std::vector<SearchSpace> decode_spaces() {
+  std::vector<SearchSpace> spaces = all_spaces();
+  for (const char* name : {"gen:7:0", "gen:7:1"})
+    spaces.push_back(
+        SearchSpace::extended_for_machine(hw::machine_by_name(name)));
+  spaces.push_back(four_rule_space());
+  spaces.push_back(long_chunk_space());
+  return spaces;
+}
+
+/// Power-mode query caps: the grid caps plus off-grid watts — between two
+/// grid caps, above TDP, and far below every thread's bound (where only
+/// the default survives).
+std::vector<double> query_caps(const SearchSpace& s) {
+  std::vector<double> caps = s.power_caps();
+  caps.push_back(0.5 * (s.power_caps()[0] + s.power_caps()[1]));
+  caps.push_back(1.5 * s.tdp());
+  caps.push_back(1e-3);
+  return caps;
+}
+
+/// Logit flavours. kRandom: uniform in [-1, 1). kPlantedTies: three
+/// levels, so many tuples tie exactly. kRoundingTies: one head carries a
+/// 1e16 offset, so the double sum swallows the other heads' sub-ulp
+/// differences (ss + a == ss + b with a != b).
+enum class Flavour { kRandom, kPlantedTies, kRoundingTies };
 
 template <typename T>
-void check_power_equivalence(const SearchSpace& s, std::uint64_t seed) {
-  LogitGen gen(seed);
-  const auto thr64 = gen.vec(s.num_thread_classes());
-  const auto sch64 = gen.vec(s.num_schedule_classes());
-  const auto chk64 = gen.vec(s.num_chunk_classes());
-  std::vector<T> thr(thr64.begin(), thr64.end());
-  std::vector<T> sch(sch64.begin(), sch64.end());
-  std::vector<T> chk(chk64.begin(), chk64.end());
-  const std::span<const T> ts(thr), ss(sch), cs(chk);
-  for (double cap_w : s.power_caps()) {
+std::vector<T> head_logits(LogitGen& gen, int n, Flavour f, bool offset) {
+  std::vector<T> out;
+  for (double x : gen.vec(n)) {
+    if (f == Flavour::kPlantedTies)
+      x = static_cast<double>(static_cast<int>(x * 1.5));
+    if (offset) x += 1e16;
+    out.push_back(static_cast<T>(x));
+  }
+  return out;
+}
+
+template <typename T>
+struct Logits {
+  std::vector<T> cap, thr, sch, chk;
+  Logits(const SearchSpace& s, std::uint64_t seed, Flavour f) {
+    LogitGen gen(seed);
+    const int big =
+        f == Flavour::kRoundingTies ? static_cast<int>(seed % 4) : -1;
+    cap = head_logits<T>(gen, s.num_cap_classes(), f, big == 0);
+    thr = head_logits<T>(gen, s.num_thread_classes(), f, big == 1);
+    sch = head_logits<T>(gen, s.num_schedule_classes(), f, big == 2);
+    chk = head_logits<T>(gen, s.num_chunk_classes(), f, big == 3);
+  }
+};
+
+sim::OmpConfig config_of(const SearchSpace& s, const SearchChoice& c) {
+  return s.config_from_classes(c.thread_cls, c.sched_cls, c.chunk_cls);
+}
+
+template <typename T>
+void check_equivalence(const SearchSpace& s, std::uint64_t seed, Flavour f) {
+  const Logits<T> l(s, seed, f);
+  const std::span<const T> ps(l.cap), ts(l.thr), ss(l.sch), cs(l.chk);
+  const sim::OmpConfig argmax_cfg = s.config_from_classes(
+      nn::argmax_index(ts), nn::argmax_index(ss), nn::argmax_index(cs));
+  for (double cap_w : query_caps(s)) {
     const SearchChoice oracle = exhaustive_power<T>(s, cap_w, ts, ss, cs);
-    EXPECT_TRUE(s.is_valid(
-        s.config_from_classes(oracle.thread_cls, oracle.sched_cls,
-                              oracle.chunk_cls),
-        cap_w));
-    // Full width (0) and any width >= the space size are bit-identical to
-    // the exhaustive scan.
-    for (int width : {0, s.joint_size()}) {
-      const SearchChoice beam = search_power<T>(s, cap_w, ts, ss, cs, width);
-      EXPECT_TRUE(same_choice(beam, oracle))
-          << "cap " << cap_w << " width " << width;
-    }
-    // Narrow beams must still answer with a valid config and can never
-    // beat the oracle's score.
-    for (int width : {1, 2, 3}) {
-      const SearchChoice beam = search_power<T>(s, cap_w, ts, ss, cs, width);
-      EXPECT_TRUE(s.is_valid(
-          s.config_from_classes(beam.thread_cls, beam.sched_cls,
-                                beam.chunk_cls),
-          cap_w));
-      EXPECT_LE(beam.score, oracle.score);
+    const SearchChoice exact = search_power<T>(s, cap_w, ts, ss, cs);
+    EXPECT_TRUE(same_choice(exact, oracle))
+        << "power cap " << cap_w << " seed " << seed;
+    EXPECT_EQ(exact.cap_cls, -1);
+    EXPECT_TRUE(s.is_valid(config_of(s, exact), cap_w));
+    EXPECT_EQ(exact.argmax_pruned, !s.is_valid(argmax_cfg, cap_w));
+    if (s.max_valid_threads(cap_w) == 0) {
+      EXPECT_EQ(config_of(s, exact), s.default_config()) << "cap " << cap_w;
     }
   }
+  const SearchChoice oracle = exhaustive_edp<T>(s, ps, ts, ss, cs);
+  const SearchChoice exact = search_edp<T>(s, ps, ts, ss, cs);
+  EXPECT_TRUE(same_choice(exact, oracle)) << "edp seed " << seed;
+  EXPECT_TRUE(s.is_valid(
+      config_of(s, exact),
+      s.power_caps()[static_cast<std::size_t>(exact.cap_cls)]));
 }
 
 template <typename T>
-void check_edp_equivalence(const SearchSpace& s, std::uint64_t seed) {
-  LogitGen gen(seed);
-  const auto cap64 = gen.vec(s.num_cap_classes());
-  const auto thr64 = gen.vec(s.num_thread_classes());
-  const auto sch64 = gen.vec(s.num_schedule_classes());
-  const auto chk64 = gen.vec(s.num_chunk_classes());
-  std::vector<T> cap(cap64.begin(), cap64.end());
-  std::vector<T> thr(thr64.begin(), thr64.end());
-  std::vector<T> sch(sch64.begin(), sch64.end());
-  std::vector<T> chk(chk64.begin(), chk64.end());
-  const std::span<const T> ps(cap), ts(thr), ss(sch), cs(chk);
-  const SearchChoice oracle = exhaustive_edp<T>(s, ps, ts, ss, cs);
-  for (int width : {0, s.joint_size()}) {
-    const SearchChoice beam = search_edp<T>(s, ps, ts, ss, cs, width);
-    EXPECT_TRUE(same_choice(beam, oracle)) << "width " << width;
-  }
-  for (int width : {1, 2, 3}) {
-    const SearchChoice beam = search_edp<T>(s, ps, ts, ss, cs, width);
-    EXPECT_TRUE(s.is_valid(
-        s.config_from_classes(beam.thread_cls, beam.sched_cls, beam.chunk_cls),
-        s.power_caps()[static_cast<std::size_t>(beam.cap_cls)]));
-    EXPECT_LE(beam.score, oracle.score);
-  }
+void check_all_spaces(Flavour f, int seeds) {
+  for (const auto& s : decode_spaces())
+    for (int seed = 1; seed <= seeds; ++seed)
+      check_equivalence<T>(s, static_cast<std::uint64_t>(seed), f);
 }
 
-TEST(BeamSearch, MatchesExhaustivePowerF64) {
-  for (const auto& s : all_spaces())
-    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u})
-      check_power_equivalence<double>(s, seed);
+TEST(ExactSearch, MatchesExhaustiveF64) {
+  check_all_spaces<double>(Flavour::kRandom, 12);
 }
 
-TEST(BeamSearch, MatchesExhaustivePowerF32) {
-  for (const auto& s : all_spaces())
-    for (std::uint64_t seed : {1u, 2u, 3u})
-      check_power_equivalence<float>(s, seed);
+TEST(ExactSearch, MatchesExhaustiveF32) {
+  check_all_spaces<float>(Flavour::kRandom, 12);
 }
 
-TEST(BeamSearch, MatchesExhaustiveEdpF64) {
-  for (const auto& s : all_spaces())
-    for (std::uint64_t seed : {7u, 8u, 9u, 10u, 11u})
-      check_edp_equivalence<double>(s, seed);
+TEST(ExactSearch, MatchesExhaustiveOnPlantedTies) {
+  check_all_spaces<double>(Flavour::kPlantedTies, 8);
+  check_all_spaces<float>(Flavour::kPlantedTies, 8);
 }
 
-TEST(BeamSearch, MatchesExhaustiveEdpF32) {
-  for (const auto& s : all_spaces())
-    for (std::uint64_t seed : {7u, 8u, 9u})
-      check_edp_equivalence<float>(s, seed);
+TEST(ExactSearch, MatchesExhaustiveOnRoundingTies) {
+  check_all_spaces<double>(Flavour::kRoundingTies, 8);
+  check_all_spaces<float>(Flavour::kRoundingTies, 8);
 }
 
-TEST(BeamSearch, TieBreakIsLexicographicOnEqualLogits) {
+TEST(ExactSearch, RoundingTieDefersTheFastPath) {
+  // The per-head argmax (thread class 1) is valid, but 1e16 swallows the
+  // thread logits' difference, so thread class 0 reaches the same sum
+  // first: the first-max tie-break picks it, as the oracle does.
+  const auto s = SearchSpace::for_machine(hw::MachineModel::haswell());
+  std::vector<double> thr(static_cast<std::size_t>(s.num_thread_classes()), -1.0);
+  thr[0] = 0.25;
+  thr[1] = 0.5;
+  std::vector<double> sch(static_cast<std::size_t>(s.num_schedule_classes()), 0.0);
+  sch[0] = 1e16;
+  const std::vector<double> chk(static_cast<std::size_t>(s.num_chunk_classes()), 0.0);
+  const double cap_w = s.power_caps()[0];
+  const SearchChoice c = search_power<double>(s, cap_w, thr, sch, chk);
+  EXPECT_TRUE(same_choice(c, exhaustive_power<double>(s, cap_w, thr, sch, chk)));
+  EXPECT_EQ(c.thread_cls, 0);
+  EXPECT_FALSE(c.argmax_pruned);
+}
+
+TEST(ExactSearch, ChunkTableMatchesIsValid) {
+  for (const auto& s : decode_spaces())
+    for (double cap_w : query_caps(s)) {
+      const int tmax = s.max_valid_threads(cap_w);
+      for (int t = 0; t < s.num_thread_classes(); ++t)
+        for (int sc = 0; sc < s.num_schedule_classes(); ++sc) {
+          const std::uint8_t* row = s.chunk_validity(t, sc);
+          const std::uint8_t need =
+              s.thread_values()[static_cast<std::size_t>(t)] <= tmax
+                  ? SearchSpace::kChunkAdmitted
+                  : SearchSpace::kChunkExempt;
+          for (int k = 0; k < s.num_chunk_classes(); ++k)
+            EXPECT_EQ((row[k] & need) != 0,
+                      s.is_valid(s.config_from_classes(t, sc, k), cap_w))
+                << "cap " << cap_w << " tuple " << t << "," << sc << "," << k;
+        }
+    }
+}
+
+TEST(ConstrainedDecode, TieBreakIsLexicographicOnEqualLogits) {
   // All-zero logits: every tuple scores 0, so the winner must be the first
   // valid tuple in (cap, thread, sched, chunk) lexicographic order — the
   // same first-max-wins protocol as nn::argmax_index.
@@ -248,18 +345,17 @@ TEST(BeamSearch, TieBreakIsLexicographicOnEqualLogits) {
     const std::vector<double> sch(static_cast<std::size_t>(s.num_schedule_classes()), 0.0);
     const std::vector<double> chk(static_cast<std::size_t>(s.num_chunk_classes()), 0.0);
     const double cap_w = s.power_caps().front();
-    const SearchChoice beam =
-        search_power<double>(s, cap_w, thr, sch, chk, 0);
+    const SearchChoice c = search_power<double>(s, cap_w, thr, sch, chk);
     const SearchChoice oracle =
         exhaustive_power<double>(s, cap_w, thr, sch, chk);
-    EXPECT_TRUE(same_choice(beam, oracle));
+    EXPECT_TRUE(same_choice(c, oracle));
     EXPECT_EQ(oracle.thread_cls, 0);
     EXPECT_EQ(oracle.sched_cls, 0);
     EXPECT_EQ(oracle.chunk_cls, 0);  // (1 thread, static, default chunk)
   }
 }
 
-TEST(BeamSearch, FastPathEqualsArgmaxOnUnconstrainedSpace) {
+TEST(ConstrainedDecode, FastPathEqualsArgmaxOnUnconstrainedSpace) {
   // On a constraint-free space the per-head argmax tuple is always valid,
   // so the search must return exactly the independent-argmax decode.
   const auto s = SearchSpace::for_machine(hw::MachineModel::haswell());
@@ -274,14 +370,14 @@ TEST(BeamSearch, FastPathEqualsArgmaxOnUnconstrainedSpace) {
     return best;
   };
   const SearchChoice c =
-      search_power<double>(s, s.power_caps()[0], thr, sch, chk, 0);
+      search_power<double>(s, s.power_caps()[0], thr, sch, chk);
   EXPECT_EQ(c.thread_cls, argmax(thr));
   EXPECT_EQ(c.sched_cls, argmax(sch));
   EXPECT_EQ(c.chunk_cls, argmax(chk));
-  EXPECT_FALSE(c.used_fallback);
+  EXPECT_FALSE(c.argmax_pruned);
 }
 
-TEST(BeamSearch, FallsBackToDefaultWhenEverythingIsPruned) {
+TEST(ConstrainedDecode, FallsBackToDefaultWhenEverythingIsPruned) {
   // kMaxThreads 0.5 prunes every grid config; only the default survives
   // (the fallback guarantee).
   const auto s = SearchSpace::custom(
@@ -293,12 +389,10 @@ TEST(BeamSearch, FallsBackToDefaultWhenEverythingIsPruned) {
   const auto sch = gen.vec(s.num_schedule_classes());
   const auto chk = gen.vec(s.num_chunk_classes());
   for (double cap_w : s.power_caps()) {
-    const SearchChoice c = search_power<double>(s, cap_w, thr, sch, chk, 0);
-    // The default tuple is reachable as a regular (always-valid) beam
-    // member, so this is a genuine search result, not the emergency
-    // fallback path.
-    EXPECT_EQ(s.config_from_classes(c.thread_cls, c.sched_cls, c.chunk_cls),
-              s.default_config());
+    const SearchChoice c = search_power<double>(s, cap_w, thr, sch, chk);
+    // The default tuple is a regular (always-valid) candidate, so this is
+    // a genuine search result.
+    EXPECT_EQ(config_of(s, c), s.default_config());
     const SearchChoice ex = exhaustive_power<double>(s, cap_w, thr, sch, chk);
     EXPECT_TRUE(same_choice(c, ex));
   }
@@ -314,6 +408,10 @@ TEST(BeamSearch, FallsBackToDefaultWhenEverythingIsPruned) {
   const TunerClasses tc = tuner_classes_from_flat(s, flat, false);
   EXPECT_EQ(s.config_from_classes(tc.thread, tc.sched, tc.chunk),
             s.default_config());
+  const Decoded d = decode_logits<double>(s, /*factored=*/false,
+                                          /*edp=*/false, dense, 50.0);
+  EXPECT_EQ(d.cfg, s.default_config());
+  EXPECT_TRUE(d.argmax_pruned);
 }
 
 TEST(DenseArgmax, EqualsPlainArgmaxOnUnconstrainedSpace) {
@@ -332,7 +430,7 @@ TEST(DenseArgmax, EqualsPlainArgmaxOnUnconstrainedSpace) {
             plain);
 }
 
-// --- Trained models: serving equals the tuner, across spaces and widths ---
+// --- Trained models: serving equals the tuner across spaces --------------
 
 MeasurementDb small_db(const hw::MachineModel& m, const SearchSpace& space) {
   auto regions = workloads::Suite::instance().all_regions();
@@ -351,8 +449,8 @@ TEST(ModelGuidedServing, EngineMatchesTunerOnExtendedSpace) {
   for (int r = 0; r < db.num_regions(); ++r) all.push_back(r);
   tuner.train_power_scenario(all);
 
-  // The tuner's own predictions (full-width search) are the reference;
-  // the engine must match at full width through both scratch paths.
+  // The tuner's own predictions are the reference; the engine must match
+  // them through both scratch paths.
   std::vector<sim::OmpConfig> ref;
   for (int r = 0; r < db.num_regions(); ++r)
     for (int k = 0; k < db.num_caps(); ++k)
@@ -369,17 +467,6 @@ TEST(ModelGuidedServing, EngineMatchesTunerOnExtendedSpace) {
         EXPECT_EQ(engine.predict_power(r, k), ref[i++])
             << "region " << r << " cap " << k << " arena " << use_arena;
   }
-
-  // A narrow beam still serves valid configs at every cap.
-  serve::EngineOptions narrow;
-  narrow.beam_width = 2;
-  serve::InferenceEngine engine(PnpTuner::from_artifact(db, tuner.to_artifact()),
-                                narrow);
-  for (int r = 0; r < db.num_regions(); ++r)
-    for (int k = 0; k < db.num_caps(); ++k)
-      EXPECT_TRUE(space.is_valid(
-          engine.predict_power(r, k),
-          space.power_caps()[static_cast<std::size_t>(k)]));
 }
 
 TEST(ModelGuidedServing, EdpEngineMatchesTunerOnExtendedSpace) {
@@ -428,9 +515,7 @@ TEST(ModelGuidedServing, ServiceHotReloadsExtendedSpaceArtifact) {
   second.train_power_scenario(all);
   second.save(p2);
 
-  serve::TuningServiceOptions sopt;
-  sopt.beam_width = 4;
-  serve::TuningService service(db, p1, sopt);
+  serve::TuningService service(db, p1);
   EXPECT_EQ(service.model_version(), 1u);
 
   // Serve → hot-reload → serve; both versions answer deterministically and

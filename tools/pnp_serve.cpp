@@ -5,7 +5,7 @@
 ///   pnp_serve --machine NAME --model MODEL --requests FILE
 ///             [--threads N] [--shards N] [--max-batch N]
 ///             [--batch-wait-us N] [--no-coalesce]
-///             [--space table1|extended] [--beam-width N] [--out FILE]
+///             [--space table1|extended] [--out FILE]
 ///             [--observe-log PATH]
 ///
 /// The request file holds one request per line ('#' starts a comment):
@@ -67,8 +67,8 @@ struct Args {
       "usage:\n"
       "  %s --machine NAME --model MODEL --requests FILE\n"
       "     [--threads N] [--shards N] [--max-batch N] [--batch-wait-us N]\n"
-      "     [--no-coalesce] [--space table1|extended] [--beam-width N]\n"
-      "     [--out FILE] [--observe-log PATH]\n"
+      "     [--no-coalesce] [--space table1|extended] [--out FILE]\n"
+      "     [--observe-log PATH]\n"
       "request file lines: 'power R K' | 'power_at R WATTS' | 'edp R' |\n"
       "'reload PATH' (a barrier: drains, swaps the model, continues) |\n"
       "'observe R WATTS THREADS SCHED CHUNK SECONDS JOULES' (a barrier:\n"
@@ -103,8 +103,6 @@ Args parse_args(int argc, char** argv) {
       else if (flag == "--no-coalesce") a.service.coalesce = false;
       else if (flag == "--space") a.space = value();
       else if (flag == "--observe-log") a.observe_log = value();
-      else if (flag == "--beam-width")
-        a.service.beam_width = parse_int(value(), "--beam-width", 0, 1 << 20);
       else usage(argv[0]);
     }
   } catch (const Error& e) {
