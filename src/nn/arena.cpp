@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 
 namespace pnp::nn {
 
@@ -17,6 +18,18 @@ bool lifetimes_overlap(const TensorSpec& a, const TensorSpec& b) {
 }
 
 }  // namespace
+
+void ArenaPlan::index_error(std::size_t i) const {
+  throw Error("arena tensor index " + std::to_string(i) +
+              " out of range [0, " + std::to_string(tensors_.size()) + ")");
+}
+
+void Arena::type_error(const PlannedTensor& t) {
+  throw Error("arena tensor '" + t.spec.name + "' (" +
+              std::to_string(t.spec.bytes) + " bytes, align " +
+              std::to_string(t.spec.align) +
+              ") is not viewable as this type");
+}
 
 ArenaPlan ArenaPlan::build(std::vector<TensorSpec> specs) {
   for (const TensorSpec& s : specs) {

@@ -61,9 +61,7 @@ class ArenaPlan {
   std::size_t size() const { return tensors_.size(); }
   bool empty() const { return tensors_.empty(); }
   const PlannedTensor& at(std::size_t i) const {
-    PNP_CHECK_MSG(i < tensors_.size(),
-                  "arena tensor index " << i << " out of range [0, "
-                                        << tensors_.size() << ")");
+    if (i >= tensors_.size()) index_error(i);
     return tensors_[i];
   }
   std::size_t offset(std::size_t i) const { return at(i).offset; }
@@ -72,6 +70,11 @@ class ArenaPlan {
   std::size_t total_bytes() const { return total_; }
 
  private:
+  /// Throws pnp::Error for an out-of-range index. The failure path is out
+  /// of line so at() and Arena::data() stay small enough for the compiler
+  /// to inline into the per-query serving path.
+  [[noreturn]] void index_error(std::size_t i) const;
+
   std::vector<PlannedTensor> tensors_;
   std::size_t total_ = 0;
 };
@@ -96,22 +99,16 @@ class Arena {
   template <class T>
   T* data(std::size_t i) {
     const PlannedTensor& t = plan_.at(i);
-    PNP_CHECK_MSG(t.spec.bytes % sizeof(T) == 0 &&
-                      t.spec.align % alignof(T) == 0,
-                  "arena tensor '" << t.spec.name << "' (" << t.spec.bytes
-                                   << " bytes, align " << t.spec.align
-                                   << ") is not viewable as this type");
+    if (t.spec.bytes % sizeof(T) != 0 || t.spec.align % alignof(T) != 0)
+      type_error(t);
     return reinterpret_cast<T*>(base_ + t.offset);
   }
 
   template <class T>
   const T* data(std::size_t i) const {
     const PlannedTensor& t = plan_.at(i);
-    PNP_CHECK_MSG(t.spec.bytes % sizeof(T) == 0 &&
-                      t.spec.align % alignof(T) == 0,
-                  "arena tensor '" << t.spec.name << "' (" << t.spec.bytes
-                                   << " bytes, align " << t.spec.align
-                                   << ") is not viewable as this type");
+    if (t.spec.bytes % sizeof(T) != 0 || t.spec.align % alignof(T) != 0)
+      type_error(t);
     return reinterpret_cast<const T*>(base_ + t.offset);
   }
 
@@ -122,6 +119,10 @@ class Arena {
   }
 
  private:
+  /// Throws pnp::Error: tensor `t` is not viewable as the requested type
+  /// (out of line, as ArenaPlan::index_error).
+  [[noreturn]] static void type_error(const PlannedTensor& t);
+
   ArenaPlan plan_;
   std::vector<unsigned char> storage_;  ///< total_bytes() + alignment slack
   unsigned char* base_ = nullptr;       ///< 64-byte-aligned start

@@ -75,12 +75,8 @@ class RgcnNet {
     /// of each layer, computed once at encode time and shared with the
     /// backward pass (valid for the weights as of that encode).
     std::vector<std::vector<Matrix>> relw;
-    /// Mean-pooled readout (length = hidden).
+    /// Mean-pooled readout (length = hidden) — all the dense stage reads.
     std::vector<double> readout;
-    /// f32 inference tier: the readout down-converted once per encode.
-    /// RgcnNet itself never touches this — serve::ModelState fills it when
-    /// serving at Precision::f32 so cached encodings carry both tiers.
-    std::vector<float> readout_f32;
   };
 
   /// Cached state of one dense-head forward pass.

@@ -34,17 +34,72 @@ struct SampleCtx {
   std::vector<double> dlogits;
 };
 
+/// Mean-pooled readout per distinct graph. Samples sharing a graph (e.g.
+/// the four power caps of one region) share one encode, and one forward
+/// workspace serves every encode, so only the readouts stay allocated.
+using ReadoutMap =
+    std::unordered_map<const graph::GraphTensors*, std::vector<double>>;
+
+ReadoutMap encode_readouts(const RgcnNet& net,
+                           std::span<const TrainSample> samples) {
+  ReadoutMap readouts;
+  RgcnNet::GnnCache ws;
+  for (const TrainSample& s : samples) {
+    PNP_CHECK(s.graph != nullptr);
+    auto [it, inserted] = readouts.try_emplace(s.graph);
+    if (inserted) {
+      net.encode_into(*s.graph, ws);
+      it->second = ws.readout;
+    }
+  }
+  return readouts;
+}
+
+/// Exact-match accuracy over precomputed per-graph readouts.
+double accuracy_from(const RgcnNet& net, std::span<const TrainSample> samples,
+                     const ReadoutMap& readouts) {
+  std::size_t correct = 0, total = 0;
+  RgcnNet::DenseCache dc;
+  for (const TrainSample& s : samples) {
+    const std::vector<double>& readout = readouts.at(s.graph);
+    for (const SampleMember& m : s.members) {
+      net.dense_forward_into(readout, m.extra, dc);
+      bool all = true;
+      for (std::size_t h = 0; h < m.labels.size(); ++h) {
+        const auto logits = net.head_logits(dc, static_cast<int>(h));
+        if (argmax_index(logits) != m.labels[h]) {
+          all = false;
+          break;
+        }
+      }
+      correct += all ? 1 : 0;
+      ++total;
+    }
+  }
+  return total == 0 ? 0.0 : static_cast<double>(correct) /
+                                static_cast<double>(total);
+}
+
 /// Forward + backward of one sample group; returns summed member loss.
-/// Gradients go into `grads` when set (the parallel per-thread path, which
-/// only calls const members of `net`), or straight into the net otherwise.
+/// A frozen GNN reads the group's readout from `frozen` and skips the GNN
+/// passes; otherwise the graph is encoded into `ctx.gc`. Gradients go into
+/// `grads` when set (the parallel per-thread path, which only calls const
+/// members of `net`), or straight into the net otherwise.
 double sample_backward(RgcnNet& net, const TrainSample& s,
-                       const RgcnNet::GnnCache& gc, SampleCtx& ctx,
+                       const ReadoutMap& frozen, SampleCtx& ctx,
                        RgcnNet::GradBuffer* grads) {
+  std::span<const double> readout;
+  if (net.gnn_frozen()) {
+    readout = frozen.at(s.graph);
+  } else {
+    net.encode_into(*s.graph, ctx.gc);
+    readout = ctx.gc.readout;
+  }
   const int hidden = net.config().hidden;
   ctx.d_readout.assign(static_cast<std::size_t>(hidden), 0.0);
   double loss = 0.0;
   for (const SampleMember& m : s.members) {
-    net.dense_forward_into(gc.readout, m.extra, ctx.dc);
+    net.dense_forward_into(readout, m.extra, ctx.dc);
     ctx.dlogits.assign(ctx.dc.logits.size(), 0.0);
     PNP_CHECK(m.labels.size() == net.config().head_sizes.size());
     int off = 0;
@@ -66,10 +121,11 @@ double sample_backward(RgcnNet& net, const TrainSample& s,
     for (std::size_t d = 0; d < ctx.d_readout.size(); ++d)
       ctx.d_readout[d] += dr[d];
   }
+  if (net.gnn_frozen()) return loss;
   if (grads)
-    net.gnn_backward_into(gc, ctx.d_readout, *grads, ctx.ws);
+    net.gnn_backward_into(ctx.gc, ctx.d_readout, *grads, ctx.ws);
   else
-    net.gnn_backward(gc, ctx.d_readout);
+    net.gnn_backward(ctx.gc, ctx.d_readout);
   return loss;
 }
 
@@ -88,16 +144,11 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
     s.graph->finalize();
   }
 
-  // Frozen-GNN encode cache (keyed by graph pointer), filled once up front
-  // so epochs only do (cheap) dense passes and threads share it read-only.
-  std::unordered_map<const graph::GraphTensors*, RgcnNet::GnnCache>
-      frozen_cache;
-  if (net.gnn_frozen()) {
-    for (const TrainSample& s : samples) {
-      auto [it, inserted] = frozen_cache.try_emplace(s.graph);
-      if (inserted) net.encode_into(*s.graph, it->second);
-    }
-  }
+  // Frozen GNN: the readouts never change, so they are computed once up
+  // front; epochs only do (cheap) dense passes, threads share the map
+  // read-only, and the closing accuracy reuses it.
+  ReadoutMap frozen;
+  if (net.gnn_frozen()) frozen = encode_readouts(net, samples);
 
 #ifdef PNP_PARALLEL
   // Inside an active parallel region (e.g. concurrent LOOCV folds) a
@@ -143,16 +194,9 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
       for (int i = 0; i < nb; ++i) {
         const auto t = static_cast<std::size_t>(omp_get_thread_num());
         try {
-          const TrainSample& s = *batch[static_cast<std::size_t>(i)];
-          const RgcnNet::GnnCache* gc = nullptr;
-          if (net.gnn_frozen()) {
-            gc = &frozen_cache.at(s.graph);
-          } else {
-            net.encode_into(*s.graph, ctx[t].gc);
-            gc = &ctx[t].gc;
-          }
           batch_loss[static_cast<std::size_t>(i)] =
-              sample_backward(net, s, *gc, ctx[t], &thread_grads[t]);
+              sample_backward(net, *batch[static_cast<std::size_t>(i)],
+                              frozen, ctx[t], &thread_grads[t]);
         } catch (...) {
 #pragma omp critical
           if (!err) err = std::current_exception();
@@ -166,17 +210,9 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
     } else
 #endif
     {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const TrainSample& s = *batch[i];
-        const RgcnNet::GnnCache* gc = nullptr;
-        if (net.gnn_frozen()) {
-          gc = &frozen_cache.at(s.graph);
-        } else {
-          net.encode_into(*s.graph, ctx[0].gc);
-          gc = &ctx[0].gc;
-        }
-        batch_loss[i] = sample_backward(net, s, *gc, ctx[0], nullptr);
-      }
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        batch_loss[i] =
+            sample_backward(net, *batch[i], frozen, ctx[0], nullptr);
     }
     double loss = 0.0;
     for (double v : batch_loss) loss += v;
@@ -226,7 +262,9 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
 
   report.epochs_run = static_cast<int>(report.epoch_loss.size());
   report.final_loss = report.epoch_loss.back();
-  report.train_accuracy = evaluate_accuracy(net, samples);
+  report.train_accuracy = net.gnn_frozen()
+                              ? accuracy_from(net, samples, frozen)
+                              : evaluate_accuracy(net, samples);
   report.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -235,37 +273,7 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
 
 double evaluate_accuracy(const RgcnNet& net,
                          std::span<const TrainSample> samples) {
-  std::size_t correct = 0, total = 0;
-  // One encode per distinct graph — samples sharing a graph (e.g. the four
-  // power caps of one region) reuse the cached pass, as train() does. Only
-  // the readout is kept per graph; one workspace serves every encode.
-  std::unordered_map<const graph::GraphTensors*, std::vector<double>>
-      readouts;
-  RgcnNet::GnnCache ws;
-  RgcnNet::DenseCache dc;
-  for (const TrainSample& s : samples) {
-    PNP_CHECK(s.graph != nullptr);
-    auto [it, inserted] = readouts.try_emplace(s.graph);
-    if (inserted) {
-      net.encode_into(*s.graph, ws);
-      it->second = ws.readout;
-    }
-    for (const SampleMember& m : s.members) {
-      net.dense_forward_into(it->second, m.extra, dc);
-      bool all = true;
-      for (std::size_t h = 0; h < m.labels.size(); ++h) {
-        const auto logits = net.head_logits(dc, static_cast<int>(h));
-        if (argmax_index(logits) != m.labels[h]) {
-          all = false;
-          break;
-        }
-      }
-      correct += all ? 1 : 0;
-      ++total;
-    }
-  }
-  return total == 0 ? 0.0 : static_cast<double>(correct) /
-                                static_cast<double>(total);
+  return accuracy_from(net, samples, encode_readouts(net, samples));
 }
 
 std::vector<int> predict_labels(const RgcnNet& net,

@@ -1,5 +1,7 @@
 #include "serve/inference_engine.hpp"
 
+#include <algorithm>
+
 #ifdef PNP_PARALLEL
 #include <omp.h>
 #endif
@@ -128,20 +130,44 @@ void ModelState::require_scalar_cap() const {
                 "(cap_onehot == false)");
 }
 
-void ModelState::encode(int region, nn::RgcnNet::GnnCache& out) const {
+void ModelState::encode(int region, nn::RgcnNet::GnnCache& fwd) const {
   validate_region(region);
   tuner_.net_->encode_into(tuner_.tensors_[static_cast<std::size_t>(region)],
-                           out);
+                           fwd);
+}
+
+void ModelState::encode(int region, nn::RgcnNet::GnnCache& fwd,
+                        Encoding& out) const {
+  encode(region, fwd);
+  out.readout = fwd.readout;
   if (precision_ == nn::Precision::f32) {
     // Down-convert once per encode; cached encodings then carry both
     // tiers, so the per-query fast path never touches doubles.
-    out.readout_f32.resize(out.readout.size());
-    for (std::size_t i = 0; i < out.readout.size(); ++i)
-      out.readout_f32[i] = static_cast<float>(out.readout[i]);
+    out.readout_f32.resize(fwd.readout.size());
+    for (std::size_t i = 0; i < fwd.readout.size(); ++i)
+      out.readout_f32[i] = static_cast<float>(fwd.readout[i]);
   }
 }
 
-void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
+namespace {
+
+/// f32-tier dense input: u0 = readout ⊕ extra in f32. An encoding without
+/// a cached f32 readout is down-converted here, element for element the
+/// same cast Encoding caches.
+void fill_u0_f32(const ReadoutView& enc, std::span<const double> extra,
+                 std::span<float> u0) {
+  const std::size_t h = enc.f64.size();
+  if (enc.f32.size() == h)
+    std::copy(enc.f32.begin(), enc.f32.end(), u0.begin());
+  else
+    for (std::size_t i = 0; i < h; ++i) u0[i] = static_cast<float>(enc.f64[i]);
+  for (std::size_t i = 0; i < extra.size(); ++i)
+    u0[h + i] = static_cast<float>(extra[i]);
+}
+
+}  // namespace
+
+void ModelState::run_heads(const ReadoutView& enc, int region,
                            std::optional<int> cap_index,
                            std::optional<double> cap_w, Scratch& s) const {
   s.cap_w = cap_index.has_value()
@@ -152,23 +178,18 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
   const nn::RgcnNet& net = *tuner_.net_;
   const nn::RgcnNetConfig& cfg = net.config();
   if (precision_ == nn::Precision::f64) {
-    net.dense_forward_into(enc.readout, s.extra, s.dc);
+    net.dense_forward_into(enc.f64, s.extra, s.dc);
     return;
   }
-  PNP_CHECK_MSG(enc.readout_f32.size() == enc.readout.size(),
-                "encoding lacks the f32 readout — encode regions through "
-                "this f32 ModelState");
-  s.u0f.resize(enc.readout_f32.size() + s.extra.size());
-  std::copy(enc.readout_f32.begin(), enc.readout_f32.end(), s.u0f.begin());
-  for (std::size_t i = 0; i < s.extra.size(); ++i)
-    s.u0f[enc.readout_f32.size() + i] = static_cast<float>(s.extra[i]);
+  s.u0f.resize(enc.f64.size() + s.extra.size());
+  fill_u0_f32(enc, s.extra, s.u0f);
   s.h1f.resize(static_cast<std::size_t>(cfg.dense_hidden1));
   s.h2f.resize(static_cast<std::size_t>(cfg.dense_hidden2));
   s.logitsf.resize(static_cast<std::size_t>(cfg.total_logits()));
   nn::RgcnNet::dense_forward_f32(dense_f32_, s.u0f, s.h1f, s.h2f, s.logitsf);
 }
 
-void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
+void ModelState::run_heads(const ReadoutView& enc, int region,
                            std::optional<int> cap_index,
                            std::optional<double> cap_w, Workspace& ws) const {
   ws.bind(*this);
@@ -187,20 +208,15 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
   if (precision_ == nn::Precision::f64) {
     const std::span<double> extra = dspan(kExtra64);
     tuner_.fill_extra_into(region, cap_index, cap_w, extra);
-    net.dense_forward_spans(enc.readout, extra, dspan(kU0), dspan(kZ1),
+    net.dense_forward_spans(enc.f64, extra, dspan(kU0), dspan(kZ1),
                             dspan(kA1), dspan(kZ2), dspan(kA2),
                             dspan(kLogits));
     return;
   }
-  PNP_CHECK_MSG(enc.readout_f32.size() == enc.readout.size(),
-                "encoding lacks the f32 readout — encode regions through "
-                "this f32 ModelState");
   const std::span<double> extra = dspan(kExtra32);
   tuner_.fill_extra_into(region, cap_index, cap_w, extra);
   const std::span<float> u0 = fspan(kU0F);
-  std::copy(enc.readout_f32.begin(), enc.readout_f32.end(), u0.begin());
-  for (std::size_t i = 0; i < extra.size(); ++i)
-    u0[enc.readout_f32.size() + i] = static_cast<float>(extra[i]);
+  fill_u0_f32(enc, extra, u0);
   nn::RgcnNet::dense_forward_f32(dense_f32_, u0, fspan(kH1F), fspan(kH2F),
                                  fspan(kLogitsF));
 }
@@ -258,7 +274,8 @@ InferenceEngine::InferenceEngine(const core::MeasurementDb& db,
 
 InferenceEngine::InferenceEngine(core::PnpTuner tuner, EngineOptions options)
     : state_(std::move(tuner), options.precision),
-      opt_(options) {
+      opt_(options),
+      enc_(static_cast<std::size_t>(state_.num_regions())) {
   scratch_.resize(static_cast<std::size_t>(worker_count()));
 }
 
@@ -268,25 +285,28 @@ void InferenceEngine::ensure_encoded(std::span<const int> regions) {
   // point so the dense phase never indexes past it.
   if (scratch_.size() < static_cast<std::size_t>(worker_count()))
     scratch_.resize(static_cast<std::size_t>(worker_count()));
-  // Validate the whole batch before touching the cache: a reserved slot
-  // for a region that never gets encoded would poison every later query.
+  // Validate the whole batch before touching the cache, so enc_ is only
+  // ever indexed in range.
   for (int r : regions) state_.validate_region(r);
   pending_.clear();
-  for (int r : regions) {
-    // try_emplace both dedupes the work list and reserves the cache slot;
-    // unordered_map references stay valid across later insertions.
-    if (enc_.try_emplace(r).second) pending_.push_back(r);
-  }
+  for (int r : regions)
+    if (enc_[static_cast<std::size_t>(r)].readout.empty()) pending_.push_back(r);
   if (pending_.empty()) return;
-  const auto encode_one = [this](int r) {
-    state_.encode(r, enc_.find(r)->second);
-  };
+  std::sort(pending_.begin(), pending_.end());
+  pending_.erase(std::unique(pending_.begin(), pending_.end()), pending_.end());
+  // Each thread encodes through its own forward workspace; only the
+  // readout of each pass is kept.
 #ifdef PNP_PARALLEL
 #pragma omp parallel for schedule(dynamic)
-  for (std::size_t i = 0; i < pending_.size(); ++i) encode_one(pending_[i]);
+  for (std::size_t i = 0; i < pending_.size(); ++i)
+    state_.encode(pending_[i],
+                  scratch_[static_cast<std::size_t>(omp_get_thread_num())].fwd,
+                  enc_[static_cast<std::size_t>(pending_[i])]);
 #else
-  for (int r : pending_) encode_one(r);
+  for (int r : pending_)
+    state_.encode(r, scratch_[0].fwd, enc_[static_cast<std::size_t>(r)]);
 #endif
+  cached_ += pending_.size();
 }
 
 template <class Fn>
@@ -300,8 +320,7 @@ void InferenceEngine::for_each_query(std::size_t n, Fn&& fn) {
 #endif
 }
 
-sim::OmpConfig InferenceEngine::serve_power(const nn::RgcnNet::GnnCache& enc,
-                                            int region,
+sim::OmpConfig InferenceEngine::serve_power(const Encoding& enc, int region,
                                             std::optional<int> cap_index,
                                             std::optional<double> cap_w,
                                             PerThread& t) {
@@ -345,9 +364,9 @@ std::vector<sim::OmpConfig> InferenceEngine::predict_power_batch(
 
   std::vector<sim::OmpConfig> out(queries.size());
   for_each_query(queries.size(), [&](std::size_t i, PerThread& t) {
-    out[i] = serve_power(enc_.find(queries[i].region)->second,
-                         queries[i].region, queries[i].cap_index,
-                         std::nullopt, t);
+    const int r = queries[i].region;
+    out[i] = serve_power(enc_[static_cast<std::size_t>(r)], r,
+                         queries[i].cap_index, std::nullopt, t);
   });
   return out;
 }
@@ -361,8 +380,8 @@ std::vector<sim::OmpConfig> InferenceEngine::predict_power_at_batch(
 
   std::vector<sim::OmpConfig> out(regions.size());
   for_each_query(regions.size(), [&](std::size_t i, PerThread& t) {
-    out[i] = serve_power(enc_.find(regions[i])->second, regions[i],
-                         std::nullopt, cap_w, t);
+    out[i] = serve_power(enc_[static_cast<std::size_t>(regions[i])],
+                         regions[i], std::nullopt, cap_w, t);
   });
   return out;
 }
@@ -374,13 +393,12 @@ std::vector<core::PnpTuner::JointChoice> InferenceEngine::predict_edp_batch(
 
   std::vector<core::PnpTuner::JointChoice> out(regions.size());
   for_each_query(regions.size(), [&](std::size_t i, PerThread& t) {
+    const Encoding& enc = enc_[static_cast<std::size_t>(regions[i])];
     if (opt_.use_arena) {
-      state_.run_heads(enc_.find(regions[i])->second, regions[i],
-                       std::nullopt, std::nullopt, t.ws);
+      state_.run_heads(enc, regions[i], std::nullopt, std::nullopt, t.ws);
       out[i] = state_.decode_edp(t.ws);
     } else {
-      state_.run_heads(enc_.find(regions[i])->second, regions[i],
-                       std::nullopt, std::nullopt, t.scratch);
+      state_.run_heads(enc, regions[i], std::nullopt, std::nullopt, t.scratch);
       out[i] = state_.decode_edp(t.scratch);
     }
   });

@@ -13,10 +13,11 @@
 ///    "publish a new ModelState snapshot".
 ///
 ///  - InferenceEngine: batched single-caller serving. Each distinct region
-///    graph is encoded through the GNN at most once and cached across
-///    batches; per-query buffers are reused so steady-state serving does
-///    zero heap allocation; under PNP_PARALLEL the encode and dense phases
-///    run query-parallel with per-thread scratch, bit-identical to serial.
+///    graph is encoded through the GNN at most once and its readout cached
+///    across batches; per-query buffers are reused so steady-state serving
+///    does zero heap allocation; under PNP_PARALLEL the encode and dense
+///    phases run query-parallel with per-thread scratch, bit-identical to
+///    serial.
 ///
 /// See docs/SERVING.md for the end-to-end flow (pnp_tune CLI → artifact →
 /// engine → service).
@@ -25,7 +26,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config_search.hpp"
@@ -41,18 +41,41 @@ struct PowerQuery {
   int cap_index = 0;
 };
 
+/// A region's cached serving encoding: only what the dense heads read of
+/// a GNN forward pass — the mean-pooled readout, plus its f32
+/// down-conversion when the model serves at Precision::f32 (empty at f64).
+/// A few hundred bytes per region, where the full forward-pass state
+/// (nn::RgcnNet::GnnCache: every layer's node features and per-relation
+/// aggregates) runs to hundreds of KiB.
+struct Encoding {
+  std::vector<double> readout;
+  std::vector<float> readout_f32;
+};
+
+/// What ModelState::run_heads reads of an encoding. Converts implicitly
+/// from a compact Encoding or from a full GnnCache, so one run_heads serves
+/// both. An empty `f32` (always, for a GnnCache) is down-converted per
+/// query — the same static_cast an Encoding caches, so results match bit
+/// for bit.
+struct ReadoutView {
+  ReadoutView(const Encoding& e) : f64(e.readout), f32(e.readout_f32) {}
+  ReadoutView(const nn::RgcnNet::GnnCache& c) : f64(c.readout) {}
+  std::span<const double> f64;
+  std::span<const float> f32;
+};
+
 /// An immutable trained model. All methods are const and safe to call
 /// concurrently from many threads provided each thread passes its own
-/// GnnCache / Scratch (the model itself is never mutated after
-/// construction). This is the unit serve::TuningService snapshots for
-/// zero-downtime hot reload.
+/// forward workspace / Scratch / Workspace (the model itself is never
+/// mutated after construction). This is the unit serve::TuningService
+/// snapshots for zero-downtime hot reload.
 class ModelState {
  public:
   /// Adopt a trained or loaded tuner. Throws pnp::Error if the tuner has
   /// no trained scenario. `precision` overrides the serving tier; nullopt
   /// uses the tuner's artifact-persisted preference (f64 by default).
   /// At Precision::f32 the dense weights are down-converted once here and
-  /// encodings additionally carry an f32 readout.
+  /// compact encodings additionally carry an f32 readout.
   explicit ModelState(core::PnpTuner tuner,
                       std::optional<nn::Precision> precision = std::nullopt);
 
@@ -71,7 +94,7 @@ class ModelState {
   struct Scratch {
     nn::RgcnNet::DenseCache dc;
     std::vector<double> extra;
-    /// f32 tier only: u0 = readout_f32 ⊕ extra, in-place-relu hiddens,
+    /// f32 tier only: u0 = f32 readout ⊕ extra, in-place-relu hiddens,
     /// logits.
     std::vector<float> u0f, h1f, h2f, logitsf;
     /// Query cap in watts, stashed by run_heads for the decode-time
@@ -112,23 +135,28 @@ class ModelState {
   void require_scalar_cap() const;
 
   // --- Serving primitives ------------------------------------------------
-  /// GNN-encode one region into `out`, reusing its buffers (zero
-  /// allocation when the shapes already match).
-  void encode(int region, nn::RgcnNet::GnnCache& out) const;
+  /// GNN-encode one region into `fwd`, a forward workspace the caller
+  /// reuses across encodes (zero allocation when the shapes already
+  /// match). `fwd` holds the whole forward pass afterwards.
+  void encode(int region, nn::RgcnNet::GnnCache& fwd) const;
 
-  /// Dense pass over a cached encoding; fills the scratch logits. Exactly
-  /// one of `cap_index` / `cap_w` is set for power queries (cap_w serves
-  /// held-out caps on scalar-cap models); both empty for EDP.
-  void run_heads(const nn::RgcnNet::GnnCache& enc, int region,
-                 std::optional<int> cap_index, std::optional<double> cap_w,
-                 Scratch& s) const;
+  /// As above, then keep only what serving reads: `out` receives the
+  /// readout (and, at Precision::f32, its f32 down-conversion). This is
+  /// the unit every encode cache stores; `fwd` stays with the caller's
+  /// per-thread context.
+  void encode(int region, nn::RgcnNet::GnnCache& fwd, Encoding& out) const;
+
+  /// Dense pass over an encoding's readout; fills the scratch logits.
+  /// Exactly one of `cap_index` / `cap_w` is set for power queries (cap_w
+  /// serves held-out caps on scalar-cap models); both empty for EDP.
+  void run_heads(const ReadoutView& enc, int region, std::optional<int> cap_index,
+                 std::optional<double> cap_w, Scratch& s) const;
 
   /// Arena-backed run_heads: identical arithmetic (the dense phase runs
   /// through the same span implementation), zero allocations at steady
   /// state. Results are bit-identical to the Scratch overload.
-  void run_heads(const nn::RgcnNet::GnnCache& enc, int region,
-                 std::optional<int> cap_index, std::optional<double> cap_w,
-                 Workspace& ws) const;
+  void run_heads(const ReadoutView& enc, int region, std::optional<int> cap_index,
+                 std::optional<double> cap_w, Workspace& ws) const;
 
   /// Decode the logits of the last run_heads at the serving tier through
   /// core::decode_logits (the same decode PnpTuner runs), against the
@@ -196,17 +224,19 @@ class InferenceEngine {
       std::span<const int> regions, double cap_w);
 
   /// Number of region encodings currently cached.
-  std::size_t cached_encodings() const { return enc_.size(); }
+  std::size_t cached_encodings() const { return cached_; }
 
   /// Power queries served so far whose unconstrained argmax the
   /// constraint layer rejected (0 on constraint-free spaces).
   std::uint64_t argmax_pruned() const;
 
  private:
-  /// Per-thread serving state (index 0 serves the serial path): the
+  /// Per-thread serving state (index 0 serves the serial path): the GNN
+  /// forward workspace every encode on this thread reuses, the
   /// allocation-path Scratch and the arena-backed Workspace; EngineOptions
-  /// picks which one each query uses.
+  /// picks which of the last two each query uses.
   struct PerThread {
+    nn::RgcnNet::GnnCache fwd;
     ModelState::Scratch scratch;
     ModelState::Workspace ws;
     std::uint64_t argmax_pruned = 0;  ///< see argmax_pruned()
@@ -223,13 +253,16 @@ class InferenceEngine {
   void for_each_query(std::size_t n, Fn&& fn);
   /// run_heads through the arena or allocation path per opt_.use_arena,
   /// then decode_power.
-  sim::OmpConfig serve_power(const nn::RgcnNet::GnnCache& enc, int region,
+  sim::OmpConfig serve_power(const Encoding& enc, int region,
                              std::optional<int> cap_index,
                              std::optional<double> cap_w, PerThread& t);
 
   ModelState state_;
   EngineOptions opt_;
-  std::unordered_map<int, nn::RgcnNet::GnnCache> enc_;
+  /// Indexed by region (regions are validated to [0, num_regions)); an
+  /// empty readout means not yet encoded.
+  std::vector<Encoding> enc_;
+  std::size_t cached_ = 0;
   std::vector<PerThread> scratch_;
   std::vector<int> pending_;      ///< ensure_encoded work list (reused)
   std::vector<int> regions_buf_;  ///< per-batch region-id staging (reused)

@@ -7,11 +7,11 @@
 /// replaced without downtime. Three mechanisms (docs/SERVING.md has the
 /// full contracts):
 ///
-///  - **Sharded encoding cache.** Per-region GNN encodings live in N
-///    lock-striped shards (common/sync.hpp StripedSharedMutex), so
-///    queries for unrelated regions never contend; each region is encoded
-///    at most once per model version and the encode itself runs outside
-///    any lock.
+///  - **Sharded encoding cache.** Per-region encodings (the GNN readout,
+///    serve::Encoding) live in N lock-striped shards (common/sync.hpp
+///    StripedSharedMutex), so queries for unrelated regions never contend;
+///    each region is encoded at most once per model version and the encode
+///    itself runs outside any lock, in the caller's forward workspace.
 ///
 ///  - **Admission queue.** Small concurrent requests coalesce into
 ///    batches (leader/follower combining): the first caller to find no
@@ -25,8 +25,8 @@
 ///    leader/follower queue with N dedicated worker threads, requests
 ///    routed by region hash (common/sync.hpp shard_of_key) to the worker
 ///    whose index equals the region's cache stripe. Each worker owns one
-///    serving context — allocation-path Scratch plus arena-backed
-///    Workspace (nn/arena.hpp) — so steady-state serving is
+///    serving context — GNN forward workspace, allocation-path Scratch
+///    and arena-backed Workspace (nn/arena.hpp) — so steady-state serving is
 ///    allocation-free and workers never touch each other's cache
 ///    stripes. Optionally pinned to cores (pin_workers).
 ///
@@ -231,10 +231,12 @@ class TuningService {
         encode_hits{0}, encode_misses{0}, reloads{0}, failed_reloads{0};
   };
 
-  /// One thread's serving context: the allocation-path Scratch and the
-  /// arena-backed Workspace; TuningServiceOptions::use_arena picks which
-  /// one each request runs through.
+  /// One thread's serving context: the GNN forward workspace cache misses
+  /// encode through, the allocation-path Scratch and the arena-backed
+  /// Workspace; TuningServiceOptions::use_arena picks which of the last
+  /// two each request runs through.
   struct ServeCtx {
+    nn::RgcnNet::GnnCache fwd;
     ModelState::Scratch scratch;
     ModelState::Workspace ws;
   };
@@ -250,16 +252,16 @@ class TuningService {
     std::uint64_t version = 0;
     ModelState model;
     StripedSharedMutex locks;
-    /// shards[i] guarded by locks.at(i); GnnCache pointees are immutable
-    /// once inserted.
-    mutable std::vector<
-        std::unordered_map<int, std::unique_ptr<nn::RgcnNet::GnnCache>>>
-        shards;
+    /// shards[i] guarded by locks.at(i); entries are immutable once
+    /// inserted, and unordered_map never moves an element, so references
+    /// survive later inserts into the same shard.
+    mutable std::vector<std::unordered_map<int, Encoding>> shards;
     std::shared_ptr<Counters> counters;
 
-    /// Get-or-compute the encoding of `region` (encode runs unlocked; on
-    /// a race the first insert wins — both encodings are bit-identical).
-    const nn::RgcnNet::GnnCache& encoding(int region) const;
+    /// Get-or-compute the encoding of `region` (a miss encodes unlocked
+    /// through `fwd`; on a race the first insert wins — both encodings are
+    /// bit-identical).
+    const Encoding& encoding(int region, nn::RgcnNet::GnnCache& fwd) const;
     /// Serve one request entirely against this snapshot, through the
     /// arena or the allocation path per `use_arena`.
     TuneResult serve(const TuneRequest& q, ServeCtx& c, bool use_arena) const;

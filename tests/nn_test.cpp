@@ -433,48 +433,111 @@ TEST(Trainer, ExtraFeaturesAloneCanDriveLabels) {
   EXPECT_EQ(evaluate_accuracy(net, samples), 1.0);
 }
 
-TEST(Trainer, FrozenGnnTrainsFasterPerEpoch) {
-  auto cfg = toy_config(6);
-  cfg.extra_features = 0;
-  cfg.head_sizes = {2};
-
+/// 16 toy graphs of 30 nodes, one labelled member each.
+struct FrozenToy {
+  FrozenToy() {
+    for (int i = 0; i < 16; ++i)
+      graphs.push_back(toy_graph(30, 6, static_cast<std::uint64_t>(i)));
+    for (int i = 0; i < 16; ++i) {
+      TrainSample s;
+      s.graph = &graphs[static_cast<std::size_t>(i)];
+      s.members.push_back(SampleMember{{}, {i % 2}});
+      samples.push_back(std::move(s));
+    }
+  }
+  static RgcnNetConfig config() {
+    auto cfg = toy_config(6);
+    cfg.extra_features = 0;
+    cfg.head_sizes = {2};
+    return cfg;
+  }
+  static TrainerConfig trainer() {
+    TrainerConfig tc;
+    tc.max_epochs = 30;
+    tc.patience = 1000;  // run every epoch
+    tc.min_loss = 0.0;
+    return tc;
+  }
   std::vector<graph::GraphTensors> graphs;
-  for (int i = 0; i < 16; ++i)
-    graphs.push_back(toy_graph(30, 6, static_cast<std::uint64_t>(i)));
   std::vector<TrainSample> samples;
-  for (int i = 0; i < 16; ++i) {
-    TrainSample s;
-    s.graph = &graphs[static_cast<std::size_t>(i)];
-    s.members.push_back(SampleMember{{}, {i % 2}});
-    samples.push_back(std::move(s));
+};
+
+std::vector<std::vector<double>> weights_of(RgcnNet& net) {
+  std::vector<std::vector<double>> w;
+  for (const Param* p : net.params())
+    w.emplace_back(p->w.flat().begin(), p->w.flat().end());
+  return w;
+}
+
+TEST(Trainer, FrozenGnnTrainsOnlyDenseLayers) {
+  // Transfer learning (§IV-B) retrains only the dense layers: a frozen
+  // training leaves every GNN weight bit-unchanged, moves the dense
+  // weights, and runs the same epochs as a full training. (Its speed is
+  // measured by BM_TrainEpoch and the end-to-end benchmark, not here.)
+  const FrozenToy toy;
+  RgcnNet full(FrozenToy::config());
+  auto o1 = Adam::plain(1e-3);
+  const auto before_full = weights_of(full);
+  const auto rep_full = train(full, *o1, toy.samples, FrozenToy::trainer());
+
+  RgcnNet frozen(FrozenToy::config());
+  frozen.set_gnn_frozen(true);
+  auto o2 = Adam::plain(1e-3);
+  const auto before = weights_of(frozen);
+  const auto rep_frozen =
+      train(frozen, *o2, toy.samples, FrozenToy::trainer());
+
+  EXPECT_EQ(rep_full.epochs_run, rep_frozen.epochs_run);
+  const auto after = weights_of(frozen);
+  const auto after_full = weights_of(full);
+  const auto params = frozen.params();
+  int gnn = 0, dense = 0;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!params[i]->trainable) {
+      ++gnn;
+      EXPECT_EQ(after[i], before[i]) << params[i]->name << " moved";
+      EXPECT_NE(after_full[i], before_full[i])
+          << params[i]->name << " did not train unfrozen";
+    } else {
+      ++dense;
+      EXPECT_NE(after[i], before[i]) << params[i]->name << " did not train";
+    }
   }
+  EXPECT_GT(gnn, 0);
+  EXPECT_GT(dense, 0);
+}
 
-  TrainerConfig tc;
-  tc.max_epochs = 30;
-  tc.patience = 1000;  // run all epochs for a fair timing comparison
-  tc.min_loss = 0.0;
+TEST(Trainer, FrozenReadoutReuseMatchesReencoding) {
+  // A frozen training encodes each graph once and reuses the readouts for
+  // every epoch and the closing accuracy. The reference re-encodes every
+  // step: the same GNN weights held fixed by marking them non-trainable,
+  // without freezing, so train() takes the encode-per-step path. Loss,
+  // accuracy and every weight must match bit for bit.
+  const FrozenToy toy;
+  RgcnNet frozen(FrozenToy::config());
+  frozen.set_gnn_frozen(true);
+  RgcnNet reference(FrozenToy::config());
+  const auto fp = frozen.params();
+  const auto rp = reference.params();
+  ASSERT_EQ(fp.size(), rp.size());
+  for (std::size_t i = 0; i < fp.size(); ++i) rp[i]->trainable = fp[i]->trainable;
+  ASSERT_FALSE(reference.gnn_frozen());
 
-  // Wall clock on a noisy shared box: compare best-of-3 runs, not single
-  // samples — the minimum strips scheduler preemption from both sides.
-  double full_s = 1e30, frozen_s = 1e30;
-  int full_epochs = -1, frozen_epochs = -1;
-  for (int rep = 0; rep < 3; ++rep) {
-    RgcnNet full(cfg);
-    auto o1 = Adam::plain(1e-3);
-    const auto rep_full = train(full, *o1, samples, tc);
-    full_s = std::min(full_s, rep_full.seconds);
-    full_epochs = rep_full.epochs_run;
+  auto o1 = Adam::plain(1e-3);
+  auto o2 = Adam::plain(1e-3);
+  const auto gnn_before = weights_of(frozen);
+  const auto a = train(frozen, *o1, toy.samples, FrozenToy::trainer());
+  const auto b = train(reference, *o2, toy.samples, FrozenToy::trainer());
 
-    RgcnNet frozen(cfg);
-    frozen.set_gnn_frozen(true);
-    auto o2 = Adam::plain(1e-3);
-    const auto rep_frozen = train(frozen, *o2, samples, tc);
-    frozen_s = std::min(frozen_s, rep_frozen.seconds);
-    frozen_epochs = rep_frozen.epochs_run;
-  }
-  EXPECT_EQ(full_epochs, frozen_epochs);
-  // The cached-encode path must be substantially faster (paper: 4.18×).
-  EXPECT_LT(frozen_s, full_s);
+  EXPECT_EQ(a.epoch_loss, b.epoch_loss);
+  EXPECT_EQ(a.final_loss, b.final_loss);
+  EXPECT_EQ(a.train_accuracy, b.train_accuracy);
+  EXPECT_EQ(a.train_accuracy, evaluate_accuracy(frozen, toy.samples));
+  const auto after = weights_of(frozen);
+  EXPECT_EQ(after, weights_of(reference));
+  for (std::size_t i = 0; i < fp.size(); ++i)
+    if (!fp[i]->trainable)
+      EXPECT_EQ(after[i], gnn_before[i]) << fp[i]->name << " moved";
 }
 
 TEST(Trainer, PredictLabelsMatchesEvaluate) {
