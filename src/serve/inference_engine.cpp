@@ -140,27 +140,15 @@ void ModelState::encode(int region, nn::RgcnNet::GnnCache& fwd,
                         Encoding& out) const {
   encode(region, fwd);
   out.readout = fwd.readout;
-  if (precision_ == nn::Precision::f32) {
-    // Down-convert once per encode; cached encodings then carry both
-    // tiers, so the per-query fast path never touches doubles.
-    out.readout_f32.resize(fwd.readout.size());
-    for (std::size_t i = 0; i < fwd.readout.size(); ++i)
-      out.readout_f32[i] = static_cast<float>(fwd.readout[i]);
-  }
 }
 
 namespace {
 
-/// f32-tier dense input: u0 = readout ⊕ extra in f32. An encoding without
-/// a cached f32 readout is down-converted here, element for element the
-/// same cast Encoding caches.
+/// f32-tier dense input: u0 = readout ⊕ extra, cast to f32.
 void fill_u0_f32(const ReadoutView& enc, std::span<const double> extra,
                  std::span<float> u0) {
   const std::size_t h = enc.f64.size();
-  if (enc.f32.size() == h)
-    std::copy(enc.f32.begin(), enc.f32.end(), u0.begin());
-  else
-    for (std::size_t i = 0; i < h; ++i) u0[i] = static_cast<float>(enc.f64[i]);
+  for (std::size_t i = 0; i < h; ++i) u0[i] = static_cast<float>(enc.f64[i]);
   for (std::size_t i = 0; i < extra.size(); ++i)
     u0[h + i] = static_cast<float>(extra[i]);
 }

@@ -42,26 +42,22 @@ struct PowerQuery {
 };
 
 /// A region's cached serving encoding: only what the dense heads read of
-/// a GNN forward pass — the mean-pooled readout, plus its f32
-/// down-conversion when the model serves at Precision::f32 (empty at f64).
-/// A few hundred bytes per region, where the full forward-pass state
-/// (nn::RgcnNet::GnnCache: every layer's node features and per-relation
-/// aggregates) runs to hundreds of KiB.
+/// a GNN forward pass, the mean-pooled readout. A few hundred bytes per
+/// region, where the full forward-pass state (nn::RgcnNet::GnnCache: every
+/// layer's node features and per-relation aggregates) runs to hundreds of
+/// KiB.
 struct Encoding {
   std::vector<double> readout;
-  std::vector<float> readout_f32;
 };
 
-/// What ModelState::run_heads reads of an encoding. Converts implicitly
-/// from a compact Encoding or from a full GnnCache, so one run_heads serves
-/// both. An empty `f32` (always, for a GnnCache) is down-converted per
-/// query — the same static_cast an Encoding caches, so results match bit
-/// for bit.
+/// What ModelState::run_heads reads of an encoding: the f64 readout.
+/// Converts implicitly from a compact Encoding or from a full GnnCache, so
+/// one run_heads serves both. The f32 tier casts it into its dense input
+/// per query.
 struct ReadoutView {
-  ReadoutView(const Encoding& e) : f64(e.readout), f32(e.readout_f32) {}
+  ReadoutView(const Encoding& e) : f64(e.readout) {}
   ReadoutView(const nn::RgcnNet::GnnCache& c) : f64(c.readout) {}
   std::span<const double> f64;
-  std::span<const float> f32;
 };
 
 /// An immutable trained model. All methods are const and safe to call
@@ -74,8 +70,7 @@ class ModelState {
   /// Adopt a trained or loaded tuner. Throws pnp::Error if the tuner has
   /// no trained scenario. `precision` overrides the serving tier; nullopt
   /// uses the tuner's artifact-persisted preference (f64 by default).
-  /// At Precision::f32 the dense weights are down-converted once here and
-  /// compact encodings additionally carry an f32 readout.
+  /// At Precision::f32 the dense weights are down-converted once here.
   explicit ModelState(core::PnpTuner tuner,
                       std::optional<nn::Precision> precision = std::nullopt);
 
@@ -141,9 +136,8 @@ class ModelState {
   void encode(int region, nn::RgcnNet::GnnCache& fwd) const;
 
   /// As above, then keep only what serving reads: `out` receives the
-  /// readout (and, at Precision::f32, its f32 down-conversion). This is
-  /// the unit every encode cache stores; `fwd` stays with the caller's
-  /// per-thread context.
+  /// readout. This is the unit every encode cache stores; `fwd` stays with
+  /// the caller's per-thread context.
   void encode(int region, nn::RgcnNet::GnnCache& fwd, Encoding& out) const;
 
   /// Dense pass over an encoding's readout; fills the scratch logits.

@@ -456,11 +456,17 @@ class CompactCacheFixture : public ::testing::Test {
   static std::int64_t workspace_budget(const serve::ModelState& m, int n) {
     const std::int64_t all = workspace_bytes(m, n);
 #ifdef PNP_PARALLEL
-    return 2 * omp_get_max_threads() * all;
+    return 2 * kEncodeThreads * all;
 #else
     return all - workspace_bytes(m, 1);
 #endif
   }
+
+  /// Threads the parallel build encodes with in the memory tests. Fixed,
+  /// so the workspace budget (which scales with it) stays far below the
+  /// full-forward-pass-per-region cache it must tell apart from a compact
+  /// one, whatever the host's core count.
+  static constexpr int kEncodeThreads = 2;
 
   static constexpr std::int64_t kPerRegionBudget = 1024;
 
@@ -475,6 +481,14 @@ core::MeasurementDb* CompactCacheFixture::extended_ = nullptr;
 
 TEST_F(CompactCacheFixture, EngineKeepsUnder1KiBPerCachedRegion) {
   const auto art = trained(*table1_, /*edp=*/false);
+#ifdef PNP_PARALLEL
+  // Restored on every exit, early ASSERT returns included.
+  struct ThreadCap {
+    int saved = omp_get_max_threads();
+    ThreadCap() { omp_set_num_threads(kEncodeThreads); }
+    ~ThreadCap() { omp_set_num_threads(saved); }
+  } cap;
+#endif
   for (const nn::Precision p : {nn::Precision::f64, nn::Precision::f32}) {
     serve::EngineOptions opt;
     opt.precision = p;
@@ -542,16 +556,18 @@ struct Reference {
       for (int k = 0; k < db.num_caps(); ++k) {
         model.run_heads(fwd, r, k, std::nullopt, ws);
         power.push_back(model.decode_power(ws));
-        if (p == nn::Precision::f64)
+        if (p == nn::Precision::f64) {
           EXPECT_EQ(power.back(), tuner.predict_power(r, k))
               << "region " << r << " cap " << k;
+        }
       }
       for (const double w : watts) {
         model.run_heads(fwd, r, std::nullopt, w, ws);
         power_at.push_back(model.decode_power(ws));
-        if (p == nn::Precision::f64)
+        if (p == nn::Precision::f64) {
           EXPECT_EQ(power_at.back(), tuner.predict_power_at(r, w))
               << "region " << r << " at " << w << " W";
+        }
       }
     }
   }
