@@ -2,7 +2,8 @@
 /// google-benchmark micro-benchmarks for the library's substrates: IR
 /// emission, graph construction (+ CSR tensor form), RGCN
 /// forward/backward in steady-state training mode (reused workspaces, the
-/// path train() drives), one full train epoch, simulator throughput,
+/// path train() drives), one full train epoch (and one with the GNN
+/// frozen, as in transfer learning), simulator throughput,
 /// exhaustive-sweep (oracle) cost, and per-run cost of the sampling
 /// baselines. These quantify the §VI claim that a trained PnP tuner needs
 /// *no* executions while BLISS/OpenTuner pay per region.
@@ -239,9 +240,11 @@ void BM_RgcnForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_RgcnForwardBackward);
 
-void BM_TrainEpoch(benchmark::State& state) {
-  // One full training epoch (16 region graphs × 4 members, batch 16) —
-  // the unit the LOOCV folds repeat tens of times per trained fold.
+/// One train() call of one epoch over 16 region graphs × 4 members
+/// (batch 16): the unit the LOOCV folds repeat tens of times per trained
+/// fold. With `frozen`, the GNN is frozen as in transfer learning: the
+/// call encodes each graph once and trains only the dense layers.
+void train_epoch(benchmark::State& state, bool frozen) {
   const auto& suite = workloads::Suite::instance();
   std::vector<graph::FlowGraph> graphs;
   std::vector<const graph::FlowGraph*> graph_ptrs;
@@ -271,13 +274,19 @@ void BM_TrainEpoch(benchmark::State& state) {
   tc.patience = 1000;
   tc.min_loss = 0.0;
   nn::RgcnNet net(table2_config(vocab.size()));
+  net.set_gnn_frozen(frozen);
   auto opt = nn::Adam::adamw_amsgrad();
   for (auto _ : state) {
     const auto rep = nn::train(net, *opt, samples, tc);
     benchmark::DoNotOptimize(rep.final_loss);
   }
 }
+
+void BM_TrainEpoch(benchmark::State& state) { train_epoch(state, false); }
 BENCHMARK(BM_TrainEpoch);
+
+void BM_TrainEpochFrozen(benchmark::State& state) { train_epoch(state, true); }
+BENCHMARK(BM_TrainEpochFrozen)->Name("BM_TrainEpoch/frozen");
 
 void BM_PnpInference(benchmark::State& state) {
   // Whole-pipeline inference cost for one unseen region: what replaces the

@@ -6,12 +6,36 @@
 /// are meaningful.
 
 #include <cstddef>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace pnp::nn {
+
+/// Allocator that starts every block on a 64-byte (cache-line, AVX-512
+/// vector) boundary. Matrix storage uses it so a kernel's speed does not
+/// depend on where the heap happened to place the operands.
+template <class T>
+struct AlignedAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  AlignedAllocator() = default;
+  template <class U>
+  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+
+  template <class U>
+  bool operator==(const AlignedAllocator<U>&) const noexcept {
+    return true;
+  }
+};
 
 class Matrix {
  public:
@@ -68,7 +92,7 @@ class Matrix {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, AlignedAllocator<double>> data_;
 };
 
 /// C += A · B. Shapes: A (m×k), B (k×n), C (m×n).
@@ -168,7 +192,7 @@ class MatrixF {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<float> data_;
+  std::vector<float, AlignedAllocator<float>> data_;
 };
 
 /// out = xᵀ·W + bias — the dense-layer primitive of the f32 tier. Shapes:

@@ -1,5 +1,6 @@
 #include "nn/optim.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -46,6 +47,41 @@ std::unique_ptr<Adam> Adam::plain(double lr) {
   return std::make_unique<Adam>(c);
 }
 
+namespace {
+
+/// One Adam update of n elements, with the config branches resolved at
+/// compile time so the element loop is branch-free and vectorizes (the
+/// library builds with -fno-math-errno, so std::sqrt is one instruction).
+/// The per-element expressions are those of the textbook loop: every
+/// element gets the same rounding whether it lands in a vector or a
+/// scalar lane.
+template <bool kL2, bool kAmsgrad, bool kDecoupled>
+void adam_update(std::size_t n, const Adam::Config& c, double bc1, double bc2,
+                 double* __restrict w, const double* __restrict g,
+                 double* __restrict m, double* __restrict v,
+                 double* __restrict vh) {
+  const double b1 = c.beta1, b2 = c.beta2;
+  const double c1 = 1.0 - c.beta1, c2 = 1.0 - c.beta2;
+  const double lr = c.lr, eps = c.eps, wd = c.weight_decay;
+  const double lr_wd = c.lr * c.weight_decay;
+  for (std::size_t k = 0; k < n; ++k) {
+    double grad = g[k];
+    if constexpr (kL2) grad += wd * w[k];  // classic Adam L2
+    m[k] = b1 * m[k] + c1 * grad;
+    v[k] = b2 * v[k] + c2 * grad * grad;
+    const double mhat = m[k] / bc1;
+    double vcur = v[k] / bc2;
+    if constexpr (kAmsgrad) {
+      vh[k] = std::max(vh[k], vcur);
+      vcur = vh[k];
+    }
+    if constexpr (kDecoupled) w[k] -= lr_wd * w[k];  // AdamW decay
+    w[k] -= lr * mhat / (std::sqrt(vcur) + eps);
+  }
+}
+
+}  // namespace
+
 void Adam::step(std::vector<Param*>& params) {
   if (m_.size() != params.size()) {
     m_.clear();
@@ -60,31 +96,21 @@ void Adam::step(std::vector<Param*>& params) {
   ++t_;
   const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
+  const bool decay = cfg_.weight_decay > 0.0;
+  const bool l2 = decay && !cfg_.decoupled_weight_decay;
+  const bool decoupled = decay && cfg_.decoupled_weight_decay;
+  auto* update = l2 ? (cfg_.amsgrad ? &adam_update<true, true, false>
+                                    : &adam_update<true, false, false>)
+               : decoupled ? (cfg_.amsgrad ? &adam_update<false, true, true>
+                                           : &adam_update<false, false, true>)
+                           : (cfg_.amsgrad ? &adam_update<false, true, false>
+                                           : &adam_update<false, false, false>);
   for (std::size_t i = 0; i < params.size(); ++i) {
     Param& p = *params[i];
     if (!p.trainable) continue;
     PNP_CHECK(m_[i].same_shape(p.w));
-    double* w = p.w.data();
-    const double* g = p.g.data();
-    double* m = m_[i].data();
-    double* v = v_[i].data();
-    double* vh = vhat_[i].data();
-    for (std::size_t k = 0; k < p.w.size(); ++k) {
-      double grad = g[k];
-      if (!cfg_.decoupled_weight_decay && cfg_.weight_decay > 0.0)
-        grad += cfg_.weight_decay * w[k];  // classic Adam L2
-      m[k] = cfg_.beta1 * m[k] + (1.0 - cfg_.beta1) * grad;
-      v[k] = cfg_.beta2 * v[k] + (1.0 - cfg_.beta2) * grad * grad;
-      const double mhat = m[k] / bc1;
-      double vcur = v[k] / bc2;
-      if (cfg_.amsgrad) {
-        vh[k] = std::max(vh[k], vcur);
-        vcur = vh[k];
-      }
-      if (cfg_.decoupled_weight_decay && cfg_.weight_decay > 0.0)
-        w[k] -= cfg_.lr * cfg_.weight_decay * w[k];  // AdamW decay
-      w[k] -= cfg_.lr * mhat / (std::sqrt(vcur) + cfg_.eps);
-    }
+    update(p.w.size(), cfg_, bc1, bc2, p.w.data(), p.g.data(), m_[i].data(),
+           v_[i].data(), vhat_[i].data());
   }
 }
 

@@ -1,5 +1,6 @@
 #include "nn/rgcn_net.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -269,58 +270,125 @@ RgcnNet::DenseCache RgcnNet::forward(const graph::GraphTensors& g,
   return dense_forward(gc.readout, extra);
 }
 
-template <class GetGrad>
-std::vector<double> RgcnNet::dense_backward_impl(
-    const DenseCache& c, std::span<const double> dlogits, GetGrad&& G) const {
-  PNP_CHECK(static_cast<int>(dlogits.size()) == cfg_.total_logits());
+void RgcnNet::dense_batch_resize(DenseBatch& b, int rows) const {
+  b.u0.resize(rows, dense_in());
+  b.z1.resize(rows, cfg_.dense_hidden1);
+  b.a1.resize(rows, cfg_.dense_hidden1);
+  b.z2.resize(rows, cfg_.dense_hidden2);
+  b.a2.resize(rows, cfg_.dense_hidden2);
+  b.logits.resize(rows, cfg_.total_logits());
+  b.dlogits.resize(rows, cfg_.total_logits());
+  b.da1.resize(rows, cfg_.dense_hidden1);
+  b.da2.resize(rows, cfg_.dense_hidden2);
+  b.d_readout.resize(rows, cfg_.hidden);
+}
 
-  // d(out)/d(in) of a linear layer, accumulating weight/bias grads.
-  auto backward_linear = [&](const std::vector<double>& in,
-                             std::span<const double> dout, int w_idx,
-                             int b_idx) {
-    const Matrix& w = P(w_idx).w;
-    Matrix& gw_m = G(w_idx);
-    Matrix& gb_m = G(b_idx);
-    for (int j = 0; j < w.cols(); ++j)
-      gb_m(0, j) += dout[static_cast<std::size_t>(j)];
-    std::vector<double> din(in.size(), 0.0);
-    for (int i = 0; i < w.rows(); ++i) {
-      const double vi = in[static_cast<std::size_t>(i)];
-      double* gw = gw_m.row(i);
+void RgcnNet::dense_forward_batch(DenseBatch& b) const {
+  PNP_CHECK(b.u0.cols() == dense_in() && b.logits.rows() == b.u0.rows());
+  gemm_bias(b.u0, P(w1_).w, P(b1_).w.flat(), b.z1);
+  for (std::size_t i = 0; i < b.z1.size(); ++i)
+    b.a1.data()[i] = relu(b.z1.data()[i]);
+  gemm_bias(b.a1, P(w2_).w, P(b2_).w.flat(), b.z2);
+  for (std::size_t i = 0; i < b.z2.size(); ++i)
+    b.a2.data()[i] = relu(b.z2.data()[i]);
+  gemm_bias(b.a2, P(w3_).w, P(b3_).w.flat(), b.logits);
+}
+
+namespace {
+
+/// din(r, i) = Σ_j w(i, j)·dout(r, j) over the first din.cols() rows of
+/// w, summed from 0.0 in j order. The loop is the one the per-member
+/// backward always ran (a gemm_nt would round differently), so it
+/// compiles, and rounds, the same way.
+void backprop_input(const Matrix& w, const Matrix& dout, Matrix& din) {
+  const int n_out = w.cols();
+  for (int r = 0; r < dout.rows(); ++r) {
+    const double* d = dout.row(r);
+    double* out = din.row(r);
+    for (int i = 0; i < din.cols(); ++i) {
       const double* wi = w.row(i);
       double acc = 0.0;
-      for (int j = 0; j < w.cols(); ++j) {
-        gw[j] += vi * dout[static_cast<std::size_t>(j)];
-        acc += wi[j] * dout[static_cast<std::size_t>(j)];
-      }
-      din[static_cast<std::size_t>(i)] = acc;
+      for (int j = 0; j < n_out; ++j) acc += wi[j] * d[j];
+      out[i] = acc;
     }
-    return din;
+  }
+}
+
+}  // namespace
+
+template <class GetGrad>
+void RgcnNet::dense_backward_impl(DenseBatch& b, bool d_readout,
+                                  GetGrad&& G) const {
+  PNP_CHECK(b.dlogits.rows() == b.u0.rows() &&
+            b.dlogits.cols() == cfg_.total_logits());
+  // Weight gradients take the rows in order, each product fused into its
+  // accumulator, as one backward call per row would.
+  auto weight_grads = [&](const Matrix& in, const Matrix& dout, int w_idx,
+                          int b_idx) {
+    colsum_acc(dout, G(b_idx).flat());
+    gemm_tn_acc(in, dout, G(w_idx));
   };
 
-  std::vector<double> da2 = backward_linear(c.a2, dlogits, w3_, b3_);
-  for (std::size_t i = 0; i < da2.size(); ++i) da2[i] *= relu_grad(c.z2[i]);
-  std::vector<double> da1 = backward_linear(c.a1, da2, w2_, b2_);
-  for (std::size_t i = 0; i < da1.size(); ++i) da1[i] *= relu_grad(c.z1[i]);
-  std::vector<double> du0 = backward_linear(c.u0, da1, w1_, b1_);
+  weight_grads(b.a2, b.dlogits, w3_, b3_);
+  backprop_input(P(w3_).w, b.dlogits, b.da2);
+  for (std::size_t i = 0; i < b.da2.size(); ++i)
+    b.da2.data()[i] *= relu_grad(b.z2.data()[i]);
+  weight_grads(b.a1, b.da2, w2_, b2_);
+  backprop_input(P(w2_).w, b.da2, b.da1);
+  for (std::size_t i = 0; i < b.da1.size(); ++i)
+    b.da1.data()[i] *= relu_grad(b.z1.data()[i]);
+  weight_grads(b.u0, b.da1, w1_, b1_);
+  // The first cfg_.hidden entries of u0 are the readout.
+  if (d_readout) backprop_input(P(w1_).w, b.da1, b.d_readout);
+}
 
-  // First cfg_.hidden entries of u0 are the readout.
-  return {du0.begin(), du0.begin() + cfg_.hidden};
+void RgcnNet::dense_backward(DenseBatch& b) {
+  dense_backward_impl(b, !gnn_frozen_,
+                      [this](int idx) -> Matrix& { return P(idx).g; });
+}
+
+void RgcnNet::dense_backward_into(DenseBatch& b, GradBuffer& grads) const {
+  PNP_CHECK(grads.size() == params_.size());
+  dense_backward_impl(b, !gnn_frozen_, [&grads](int idx) -> Matrix& {
+    return grads[static_cast<std::size_t>(idx)];
+  });
+}
+
+RgcnNet::DenseBatch RgcnNet::one_row_batch(
+    const DenseCache& c, std::span<const double> dlogits) const {
+  PNP_CHECK(static_cast<int>(dlogits.size()) == cfg_.total_logits());
+  DenseBatch b;
+  dense_batch_resize(b, 1);
+  auto put = [](const std::vector<double>& v, Matrix& m) {
+    PNP_CHECK(v.size() == m.size());
+    std::copy(v.begin(), v.end(), m.data());
+  };
+  put(c.u0, b.u0);
+  put(c.z1, b.z1);
+  put(c.a1, b.a1);
+  put(c.z2, b.z2);
+  put(c.a2, b.a2);
+  std::copy(dlogits.begin(), dlogits.end(), b.dlogits.data());
+  return b;
 }
 
 std::vector<double> RgcnNet::dense_backward(const DenseCache& c,
                                             std::span<const double> dlogits) {
-  return dense_backward_impl(
-      c, dlogits, [this](int idx) -> Matrix& { return P(idx).g; });
+  DenseBatch b = one_row_batch(c, dlogits);
+  dense_backward_impl(b, true,
+                      [this](int idx) -> Matrix& { return P(idx).g; });
+  return {b.d_readout.flat().begin(), b.d_readout.flat().end()};
 }
 
 std::vector<double> RgcnNet::dense_backward_into(
     const DenseCache& c, std::span<const double> dlogits,
     GradBuffer& grads) const {
   PNP_CHECK(grads.size() == params_.size());
-  return dense_backward_impl(c, dlogits, [&grads](int idx) -> Matrix& {
+  DenseBatch b = one_row_batch(c, dlogits);
+  dense_backward_impl(b, true, [&grads](int idx) -> Matrix& {
     return grads[static_cast<std::size_t>(idx)];
   });
+  return {b.d_readout.flat().begin(), b.d_readout.flat().end()};
 }
 
 template <class GetGrad>
@@ -460,7 +528,7 @@ RgcnNet::GradBuffer RgcnNet::make_grad_buffer() const {
 void RgcnNet::add_grad_buffer(const GradBuffer& gb) {
   PNP_CHECK(gb.size() == params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i)
-    params_[i]->g.add_scaled(gb[i], 1.0);
+    if (params_[i]->trainable) params_[i]->g.add_scaled(gb[i], 1.0);
 }
 
 std::span<const double> RgcnNet::head_logits(const DenseCache& cache,
@@ -492,13 +560,18 @@ std::size_t RgcnNet::num_weights(bool trainable_only) const {
 }
 
 void RgcnNet::zero_grad() {
-  for (auto& p : params_) p->g.zero();
+  for (auto& p : params_)
+    if (p->trainable) p->g.zero();
 }
 
 void RgcnNet::set_gnn_frozen(bool frozen) {
   gnn_frozen_ = frozen;
+  // zero_grad() skips frozen parameters, so a toggled one starts clean.
   for (std::size_t i = 0; i < params_.size(); ++i)
-    if (is_gnn_param_[i]) params_[i]->trainable = !frozen;
+    if (is_gnn_param_[i]) {
+      params_[i]->trainable = !frozen;
+      params_[i]->g.zero();
+    }
 }
 
 StateDict RgcnNet::state_dict() const {

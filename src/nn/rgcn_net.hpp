@@ -87,6 +87,20 @@ class RgcnNet {
     std::vector<double> logits;  ///< concatenated head logits
   };
 
+  /// Dense-stage state of a batch of rows, one per sample member: the
+  /// forward activations, the caller's d(loss)/d(logits) and the backward
+  /// scratch. Reused across calls (Matrix::resize keeps the allocation),
+  /// so steady-state training allocates nothing here.
+  struct DenseBatch {
+    Matrix u0;           ///< readout ⊕ extra, filled by the caller
+    Matrix z1, a1;       ///< dense layer 1 pre/post activation
+    Matrix z2, a2;       ///< dense layer 2 pre/post activation
+    Matrix logits;       ///< concatenated head logits
+    Matrix dlogits;      ///< d(loss)/d(logits), filled by the caller
+    Matrix da1, da2;     ///< backward: d(loss)/d(a1), d(loss)/d(a2)
+    Matrix d_readout;    ///< backward: d(loss)/d(readout) per row
+  };
+
   /// Scratch matrices for one GNN backward pass; reused across calls so
   /// steady-state training allocates nothing.
   struct BackwardWs {
@@ -100,7 +114,8 @@ class RgcnNet {
   /// the per-thread accumulation target of the parallel trainer.
   using GradBuffer = std::vector<Matrix>;
   GradBuffer make_grad_buffer() const;
-  /// params[i].g += gb[i] for all parameters.
+  /// params[i].g += gb[i] for every trainable parameter (the optimizer
+  /// reads no other gradient).
   void add_grad_buffer(const GradBuffer& gb);
 
   /// Run the GNN over one graph (no gradient effects).
@@ -149,12 +164,35 @@ class RgcnNet {
                                 std::span<const float> u0, std::span<float> h1,
                                 std::span<float> h2, std::span<float> logits);
 
+  /// Size every matrix of `b` for `rows` rows. The caller then fills
+  /// u0 (one row per member) before dense_forward_batch(), and dlogits
+  /// before dense_backward().
+  void dense_batch_resize(DenseBatch& b, int rows) const;
+
+  /// The dense stage over all rows of `b` at once: z1 = u0·w1 + b1,
+  /// a1 = relu(z1), and so on (three gemm_bias calls). Each row equals
+  /// dense_forward_spans() on that row bit for bit (training only;
+  /// serving keeps the per-query form).
+  void dense_forward_batch(DenseBatch& b) const;
+
   /// Convenience: encode + dense in one call.
   DenseCache forward(const graph::GraphTensors& g,
                      std::span<const double> extra) const;
 
-  /// Accumulate dense-layer gradients for d(loss)/d(logits); returns
-  /// d(loss)/d(readout) for the caller to feed into gnn_backward.
+  /// Backward of dense_forward_batch() for b.dlogits: accumulates the
+  /// dense weight gradients row by row in row order, which is the order
+  /// one dense_backward() call per row would accumulate in. Fills
+  /// b.d_readout unless the GNN is frozen (nothing would read it).
+  void dense_backward(DenseBatch& b);
+
+  /// As dense_backward(DenseBatch&), but accumulating into `grads`
+  /// instead of the parameters' own gradients (thread-safe with distinct
+  /// buffers and batches).
+  void dense_backward_into(DenseBatch& b, GradBuffer& grads) const;
+
+  /// One-row form of dense_backward(DenseBatch&): accumulates dense-layer
+  /// gradients for d(loss)/d(logits) and returns d(loss)/d(readout) for
+  /// the caller to feed into gnn_backward.
   std::vector<double> dense_backward(const DenseCache& cache,
                                      std::span<const double> dlogits);
 
@@ -191,6 +229,9 @@ class RgcnNet {
   /// Number of scalar weights (trainable only, or all).
   std::size_t num_weights(bool trainable_only = false) const;
 
+  /// Zero the gradients of the trainable parameters. A frozen
+  /// parameter's gradient is never read, so it is not swept; freezing or
+  /// unfreezing zeroes it once.
   void zero_grad();
 
   /// Freeze/unfreeze the GNN stage (embedding + RGCN layers) — the paper's
@@ -222,10 +263,12 @@ class RgcnNet {
   const Matrix& relation_weight(const LayerParams& lp, int relation,
                                 Matrix& scratch) const;
 
+  /// A one-row DenseBatch holding `cache`'s activations and `dlogits`.
+  DenseBatch one_row_batch(const DenseCache& cache,
+                           std::span<const double> dlogits) const;
+
   template <class GetGrad>
-  std::vector<double> dense_backward_impl(const DenseCache& cache,
-                                          std::span<const double> dlogits,
-                                          GetGrad&& G) const;
+  void dense_backward_impl(DenseBatch& b, bool d_readout, GetGrad&& G) const;
   template <class GetGrad>
   void gnn_backward_impl(const GnnCache& cache,
                          std::span<const double> d_readout, BackwardWs& ws,

@@ -1,5 +1,6 @@
 #include "nn/trainer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -16,22 +17,22 @@ namespace pnp::nn {
 
 namespace {
 
-/// Scale all accumulated gradients by `s` (used to mean-reduce a batch).
+/// Scale the accumulated gradients by `s` (used to mean-reduce a batch).
+/// Frozen parameters are skipped: their gradients are never read.
 void scale_grads(RgcnNet& net, double s) {
   for (Param* p : net.params())
-    for (double& g : p->g.flat()) g *= s;
+    if (p->trainable)
+      for (double& g : p->g.flat()) g *= s;
 }
 
-/// Reusable per-worker state: forward/backward workspaces plus the small
-/// per-member scratch vectors, so the hot GNN passes allocate nothing in
-/// steady state (the tiny dense-layer backward still makes a few
-/// ≤32-element vector allocations per member).
+/// Reusable per-worker state: the GNN forward/backward workspaces and the
+/// dense batch a sample's members run through as rows of one matrix, so
+/// steady-state training allocates nothing per sample or per member.
 struct SampleCtx {
   RgcnNet::GnnCache gc;
-  RgcnNet::DenseCache dc;
+  RgcnNet::DenseBatch dense;
   RgcnNet::BackwardWs ws;
   std::vector<double> d_readout;
-  std::vector<double> dlogits;
 };
 
 /// Mean-pooled readout per distinct graph. Samples sharing a graph (e.g.
@@ -82,9 +83,10 @@ double accuracy_from(const RgcnNet& net, std::span<const TrainSample> samples,
 
 /// Forward + backward of one sample group; returns summed member loss.
 /// A frozen GNN reads the group's readout from `frozen` and skips the GNN
-/// passes; otherwise the graph is encoded into `ctx.gc`. Gradients go into
-/// `grads` when set (the parallel per-thread path, which only calls const
-/// members of `net`), or straight into the net otherwise.
+/// passes; otherwise the graph is encoded into `ctx.gc`. The members run
+/// the dense stage as one batch, a row each. Gradients go into `grads`
+/// when set (the parallel per-thread path, which only calls const members
+/// of `net`), or straight into the net otherwise.
 double sample_backward(RgcnNet& net, const TrainSample& s,
                        const ReadoutMap& frozen, SampleCtx& ctx,
                        RgcnNet::GradBuffer* grads) {
@@ -95,33 +97,43 @@ double sample_backward(RgcnNet& net, const TrainSample& s,
     net.encode_into(*s.graph, ctx.gc);
     readout = ctx.gc.readout;
   }
-  const int hidden = net.config().hidden;
-  ctx.d_readout.assign(static_cast<std::size_t>(hidden), 0.0);
+  const RgcnNetConfig& cfg = net.config();
+  RgcnNet::DenseBatch& b = ctx.dense;
+  const int rows = static_cast<int>(s.members.size());
+  net.dense_batch_resize(b, rows);
+  PNP_CHECK(static_cast<int>(readout.size()) == cfg.hidden);
+  for (int r = 0; r < rows; ++r) {
+    const SampleMember& m = s.members[static_cast<std::size_t>(r)];
+    PNP_CHECK_MSG(static_cast<int>(m.extra.size()) == cfg.extra_features,
+                  "expected " << cfg.extra_features
+                              << " extra features, got " << m.extra.size());
+    std::copy(m.extra.begin(), m.extra.end(),
+              std::copy(readout.begin(), readout.end(), b.u0.row(r)));
+  }
+  net.dense_forward_batch(b);
+
   double loss = 0.0;
-  for (const SampleMember& m : s.members) {
-    net.dense_forward_into(readout, m.extra, ctx.dc);
-    ctx.dlogits.assign(ctx.dc.logits.size(), 0.0);
-    PNP_CHECK(m.labels.size() == net.config().head_sizes.size());
+  for (int r = 0; r < rows; ++r) {
+    const SampleMember& m = s.members[static_cast<std::size_t>(r)];
+    PNP_CHECK(m.labels.size() == cfg.head_sizes.size());
     int off = 0;
     for (std::size_t h = 0; h < m.labels.size(); ++h) {
-      const int len = net.config().head_sizes[h];
+      const auto len = static_cast<std::size_t>(cfg.head_sizes[h]);
       loss += softmax_cross_entropy(
-          std::span<const double>(ctx.dc.logits)
-              .subspan(static_cast<std::size_t>(off),
-                       static_cast<std::size_t>(len)),
-          m.labels[h],
-          std::span<double>(ctx.dlogits)
-              .subspan(static_cast<std::size_t>(off),
-                       static_cast<std::size_t>(len)));
-      off += len;
+          std::span<const double>(b.logits.row(r) + off, len), m.labels[h],
+          std::span<double>(b.dlogits.row(r) + off, len));
+      off += cfg.head_sizes[h];
     }
-    const auto dr = grads
-                        ? net.dense_backward_into(ctx.dc, ctx.dlogits, *grads)
-                        : net.dense_backward(ctx.dc, ctx.dlogits);
-    for (std::size_t d = 0; d < ctx.d_readout.size(); ++d)
-      ctx.d_readout[d] += dr[d];
   }
+  if (grads)
+    net.dense_backward_into(b, *grads);
+  else
+    net.dense_backward(b);
   if (net.gnn_frozen()) return loss;
+
+  // Members add their d(readout) in member order.
+  ctx.d_readout.assign(static_cast<std::size_t>(cfg.hidden), 0.0);
+  colsum_acc(b.d_readout, ctx.d_readout);
   if (grads)
     net.gnn_backward_into(ctx.gc, ctx.d_readout, *grads, ctx.ws);
   else
@@ -205,7 +217,8 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
       if (err) std::rethrow_exception(err);
       for (auto& tg : thread_grads) {
         net.add_grad_buffer(tg);
-        for (Matrix& m : tg) m.zero();
+        for (std::size_t p = 0; p < tg.size(); ++p)
+          if (param_ptrs[p]->trainable) tg[p].zero();
       }
     } else
 #endif

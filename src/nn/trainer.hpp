@@ -5,8 +5,10 @@
 ///
 /// Samples are grouped by graph: all members of a group (e.g. the four
 /// power caps of one OpenMP region in scenario 1) share a single GNN
-/// forward/backward pass, with per-member dense passes — mathematically
-/// identical to independent samples, but ~4× cheaper on the GNN stage.
+/// forward/backward pass, and run the dense stage as one batch, a row
+/// per member, with no per-member allocation. The result is bit for bit
+/// that of independent per-member passes, but ~4× cheaper on the GNN
+/// stage.
 ///
 /// When the GNN stage is frozen (transfer learning, paper §IV-B), each
 /// graph is encoded once and only its readout is kept across epochs (and

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/serialize.hpp"
 #include "common/stats.hpp"
 #include "core/loocv.hpp"
 #include "core/metrics.hpp"
+#include "core/pnp_tuner.hpp"
 #include "workloads/suite.hpp"
 
 namespace pnp::core {
@@ -156,8 +161,10 @@ TEST_F(IntegrationTest, UnseenCapExperimentPredictsAtHeldOutCap) {
   }
 }
 
-TEST_F(IntegrationTest, TransferLearningIsFasterAndComparable) {
-  // Cross-machine transfer: Haswell → Skylake on a reduced suite.
+TEST_F(IntegrationTest, TransferLearningFreezesTheGnnAndStaysComparable) {
+  // Cross-machine transfer: Haswell → Skylake on a reduced suite. Its
+  // speed is measured by perfbench (train.transfer_s) and BM_TrainEpoch,
+  // not asserted here: a wall-clock ratio flakes on a loaded host.
   const auto sky = hw::MachineModel::skylake();
   const sim::Simulator sky_sim(sky);
   const auto sky_space = SearchSpace::for_machine(sky);
@@ -167,14 +174,32 @@ TEST_F(IntegrationTest, TransferLearningIsFasterAndComparable) {
   ExperimentOptions opt;
   opt.pnp = fast_pnp();
   opt.pnp.trainer.max_epochs = 15;
-  opt.pnp.trainer.patience = 1000;  // fixed epochs: timing comparison
+  opt.pnp.trainer.patience = 1000;  // fixed epochs
   opt.pnp.trainer.min_loss = 0.0;
   const auto rep = run_transfer_experiment(*db_, sky_db, opt);
 
-  EXPECT_GT(rep.speedup, 1.5);  // paper: 4.18×
   EXPECT_LT(rep.transfer_trainable_weights, rep.full_trainable_weights);
   // The transferred model must stay in the same quality class.
   EXPECT_GT(rep.transfer_accuracy, 0.5 * rep.full_accuracy);
+
+  // The same transfer by hand: the imported GNN weights come out of the
+  // dense-only training bit-unchanged.
+  std::vector<int> all;
+  for (int r = 0; r < db_->num_regions(); ++r) all.push_back(r);
+  PnpTuner src(*db_, opt.pnp);
+  src.train_power_scenario(all);
+  PnpTuner xfer(sky_db, opt.pnp);
+  xfer.import_gnn(src.state(), /*freeze_gnn=*/true);
+  xfer.train_power_scenario(all);
+  const StateDict before = src.state();
+  const StateDict after = xfer.state();
+  int gnn_entries = 0;
+  for (const std::string& name : before.names()) {
+    if (name.rfind("dense.", 0) == 0) continue;
+    ++gnn_entries;
+    EXPECT_EQ(after.get(name), before.get(name)) << name << " moved";
+  }
+  EXPECT_GT(gnn_entries, 0);
 }
 
 TEST_F(IntegrationTest, LoocvFoldsExcludeValidationApp) {

@@ -3,13 +3,16 @@
 /// naive reference implementations across random shapes, the row-mapped
 /// CSR kernels against materialized gather/scatter, the CSR form of
 /// GraphTensors against the plain edge lists, the engine's RGCN forward
-/// against a from-scratch reference implementation, and the GradBuffer
-/// backward against in-place gradient accumulation.
+/// against a from-scratch reference implementation, the GradBuffer
+/// backward against in-place gradient accumulation, and the batched dense
+/// stage against the per-member passes it replaced (bit for bit).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -382,6 +385,168 @@ TEST(RgcnEngine, GradBufferMatchesDirectAccumulation) {
     for (Param* p : net.params())
       for (double v : p->g.flat()) EXPECT_DOUBLE_EQ(v, direct[idx++]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Batched dense stage vs the per-member passes it replaced.
+// ---------------------------------------------------------------------------
+
+std::size_t param_index(RgcnNet& net, const std::string& name) {
+  const auto ps = net.params();
+  for (std::size_t i = 0; i < ps.size(); ++i)
+    if (ps[i]->name == name) return i;
+  ADD_FAILURE() << "missing param " << name;
+  return 0;
+}
+
+/// The per-member dense backward the batch replaced, kept verbatim as the
+/// reference: weight grads accumulate into `g` one member at a time, and
+/// d(input) sums w(i, j)·dout(j) in j order. Returns d(loss)/d(readout).
+std::vector<double> per_member_backward(RgcnNet& net,
+                                        const RgcnNet::DenseCache& c,
+                                        std::span<const double> dlogits,
+                                        RgcnNet::GradBuffer& g) {
+  const auto ps = net.params();
+  auto backward_linear = [&](const std::vector<double>& in,
+                             std::span<const double> dout, char layer) {
+    const std::size_t w_idx = param_index(net, std::string("dense.w") + layer);
+    const std::size_t b_idx = param_index(net, std::string("dense.b") + layer);
+    const Matrix& w = ps[w_idx]->w;
+    Matrix& gw_m = g[w_idx];
+    Matrix& gb_m = g[b_idx];
+    for (int j = 0; j < w.cols(); ++j)
+      gb_m(0, j) += dout[static_cast<std::size_t>(j)];
+    std::vector<double> din(in.size(), 0.0);
+    for (int i = 0; i < w.rows(); ++i) {
+      const double vi = in[static_cast<std::size_t>(i)];
+      double* gw = gw_m.row(i);
+      const double* wi = w.row(i);
+      double acc = 0.0;
+      for (int j = 0; j < w.cols(); ++j) {
+        gw[j] += vi * dout[static_cast<std::size_t>(j)];
+        acc += wi[j] * dout[static_cast<std::size_t>(j)];
+      }
+      din[static_cast<std::size_t>(i)] = acc;
+    }
+    return din;
+  };
+  std::vector<double> da2 = backward_linear(c.a2, dlogits, '3');
+  for (std::size_t i = 0; i < da2.size(); ++i)
+    da2[i] *= c.z2[i] > 0.0 ? 1.0 : 0.0;
+  std::vector<double> da1 = backward_linear(c.a1, da2, '2');
+  for (std::size_t i = 0; i < da1.size(); ++i)
+    da1[i] *= c.z1[i] > 0.0 ? 1.0 : 0.0;
+  const std::vector<double> du0 = backward_linear(c.u0, da1, '1');
+  return {du0.begin(), du0.begin() + net.config().hidden};
+}
+
+std::vector<double> row_of(const Matrix& m, int r) {
+  return {m.row(r), m.row(r) + m.cols()};
+}
+
+void expect_same_grads(const RgcnNet::GradBuffer& got,
+                       const RgcnNet::GradBuffer& want, int rows) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_TRUE(std::equal(got[i].flat().begin(), got[i].flat().end(),
+                           want[i].flat().begin()))
+        << "param " << i << " at " << rows << " rows";
+}
+
+TEST(DenseBatch, MatchesPerMemberPassesBitForBit) {
+  // Small odd widths and the Table II widths (SIMD tails differ), one-hot
+  // extra features (mostly zeros, skipped by the per-row forward), batches
+  // of 1..17 rows; grads into a GradBuffer and into the net's own.
+  for (const bool table2 : {false, true}) {
+    RgcnNetConfig cfg = small_config(6);
+    cfg.extra_features = 5;
+    if (table2) {
+      cfg.hidden = 20;
+      cfg.dense_hidden1 = 32;
+      cfg.dense_hidden2 = 24;
+      cfg.head_sizes = {6, 3, 8};
+    }
+    RgcnNet net(cfg);
+    Rng rng(21);
+    std::size_t relu_zeros = 0;
+    for (int rows = 1; rows <= 17; ++rows) {
+      std::vector<double> readout(static_cast<std::size_t>(cfg.hidden));
+      for (double& v : readout) v = rng.uniform(-1.5, 1.5);
+      RgcnNet::DenseBatch b;
+      net.dense_batch_resize(b, rows);
+      std::vector<RgcnNet::DenseCache> ref(static_cast<std::size_t>(rows));
+      for (int r = 0; r < rows; ++r) {
+        std::vector<double> extra(static_cast<std::size_t>(cfg.extra_features));
+        extra[static_cast<std::size_t>(r % cfg.extra_features)] = 1.0;
+        std::copy(extra.begin(), extra.end(),
+                  std::copy(readout.begin(), readout.end(), b.u0.row(r)));
+        net.dense_forward_into(readout, extra, ref[static_cast<std::size_t>(r)]);
+      }
+      net.dense_forward_batch(b);
+      for (int r = 0; r < rows; ++r) {
+        const auto& c = ref[static_cast<std::size_t>(r)];
+        EXPECT_EQ(row_of(b.z1, r), c.z1) << rows << " rows, row " << r;
+        EXPECT_EQ(row_of(b.a1, r), c.a1);
+        EXPECT_EQ(row_of(b.z2, r), c.z2);
+        EXPECT_EQ(row_of(b.a2, r), c.a2);
+        EXPECT_EQ(row_of(b.logits, r), c.logits);
+        relu_zeros += static_cast<std::size_t>(
+            std::count(c.a1.begin(), c.a1.end(), 0.0) +
+            std::count(c.a2.begin(), c.a2.end(), 0.0));
+      }
+
+      for (double& v : b.dlogits.flat()) v = rng.uniform(-1.0, 1.0);
+      auto want = net.make_grad_buffer();
+      auto one_row = net.make_grad_buffer();
+      for (int r = 0; r < rows; ++r) {
+        const auto dl = row_of(b.dlogits, r);
+        const auto dr = per_member_backward(
+            net, ref[static_cast<std::size_t>(r)], dl, want);
+        EXPECT_EQ(net.dense_backward_into(ref[static_cast<std::size_t>(r)],
+                                          dl, one_row),
+                  dr);
+      }
+      auto got = net.make_grad_buffer();
+      net.dense_backward_into(b, got);
+      expect_same_grads(got, want, rows);
+      expect_same_grads(one_row, want, rows);
+      for (int r = 0; r < rows; ++r) {
+        auto scratch = net.make_grad_buffer();
+        EXPECT_EQ(row_of(b.d_readout, r),
+                  per_member_backward(net, ref[static_cast<std::size_t>(r)],
+                                      row_of(b.dlogits, r), scratch));
+      }
+
+      net.zero_grad();
+      net.dense_backward(b);
+      RgcnNet::GradBuffer own;
+      for (Param* p : net.params()) own.push_back(p->g);
+      expect_same_grads(own, want, rows);
+    }
+    EXPECT_GT(relu_zeros, 0u);
+  }
+}
+
+TEST(DenseBatch, FrozenGnnSkipsTheReadoutGradient) {
+  RgcnNetConfig cfg = small_config(6);
+  RgcnNet net(cfg);
+  net.set_gnn_frozen(true);
+  RgcnNet::DenseBatch b;
+  net.dense_batch_resize(b, 3);
+  Rng rng(4);
+  for (double& v : b.u0.flat()) v = rng.uniform(-1.0, 1.0);
+  net.dense_forward_batch(b);
+  for (double& v : b.dlogits.flat()) v = rng.uniform(-1.0, 1.0);
+  b.d_readout.fill(7.0);
+  auto got = net.make_grad_buffer();
+  net.dense_backward_into(b, got);
+  for (double v : b.d_readout.flat()) EXPECT_EQ(v, 7.0);
+
+  // The weight gradients are those of the unfrozen net.
+  net.set_gnn_frozen(false);
+  auto want = net.make_grad_buffer();
+  net.dense_backward_into(b, want);
+  expect_same_grads(got, want, 3);
 }
 
 }  // namespace
